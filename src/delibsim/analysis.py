@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .engine import CAP_MULTIPLIER
 from .errors import ConfigurationError, UnsupportedSizeError
 from .rules import (
     SCORING_RULES,
@@ -37,8 +38,6 @@ BALL_TOL = 1e-9
 BRUTEFORCE_MAX_CANDIDATES = 6
 ENCLOSING_BALL_MAX_DIM = 3
 ENCLOSING_BALL_MAX_POINTS = 10_000
-#: budget multiplier for rules with a linear-order bound but no exact count
-CAP_MULTIPLIER = 10
 
 #: rules whose winner cannot change while agents only move toward it
 _MONOTONE_RULES = frozenset(

@@ -1,0 +1,168 @@
+"""Array kernels for the engine's array path.
+
+A state is one array per iteration: ``(n, d)`` float64 rows for real
+vectors, ``(n, m)`` uint8 rows of 0/1 entries for ballots.  Every kernel
+computes what the per-agent code computes for each row, with the same
+floating-point operations in the same order, so results match it bit for
+bit:
+
+* sums that the per-agent code takes with ``sum`` (taxicab distances, the
+  straight-line norm inside ``move_l2``, the mean) go through ``sum`` here
+  too, one row or column at a time, because numpy adds in another order and
+  ``sum`` itself compensates from Python 3.12 on;
+* Euclidean distances use ``math.hypot`` and the straight-line norm uses
+  ``** 0.5``, which differs from ``np.sqrt`` in the last bit on some inputs;
+* everything else (differences, scaling, clipping, comparisons, maxima,
+  medians, counts) is exact elementwise work that numpy does in one pass.
+
+Which configurations take this path is decided in ``engine.run``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .policies import ConstraintMode, L1Mode
+from .rules import Profile, VotingRule
+from .spaces import EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec
+
+_BALLOT = np.uint8
+
+
+def from_profile(profile: Profile) -> np.ndarray:
+    """The state array of a profile."""
+    if profile.spec.family is Family.BINARY:
+        return np.array([p.bits for p in profile.points], dtype=_BALLOT)
+    return np.array([p.real_vector for p in profile.points], dtype=np.float64)
+
+
+def point(row: np.ndarray) -> Point:
+    """The point one state row (or winner) stands for."""
+    if row.dtype == _BALLOT:
+        return Point.of_bits(row.tolist())
+    return Point.reals(row.tolist())
+
+
+def points(state: np.ndarray) -> tuple[Point, ...]:
+    """The points of every row, built anew on each call."""
+    make = Point.of_bits if state.dtype == _BALLOT else Point.reals
+    return tuple(make(row) for row in state.tolist())
+
+
+def to_json(state: np.ndarray) -> list:
+    """Each row as ``point_to_json`` writes it: a number array or a 0/1 string."""
+    if state.dtype == _BALLOT:
+        m = state.shape[1]
+        return (state + ord("0")).view(f"S{m}").ravel().astype(f"U{m}").tolist()
+    return state.tolist()
+
+
+def _sums(rows: np.ndarray) -> np.ndarray:
+    """``sum`` of each row, as the per-agent code adds it."""
+    return np.fromiter(map(sum, rows.tolist()), np.float64, len(rows))
+
+
+def winner(rule: VotingRule, state: np.ndarray) -> np.ndarray:
+    """The rule's winner as one row; same value as ``rules.winner``."""
+    n = len(state)
+    if rule is VotingRule.MAJORITY:
+        return (2 * state.sum(axis=0, dtype=np.int64) >= n).astype(_BALLOT)
+    if rule is VotingRule.MEDIAN:
+        return np.partition(state, n // 2, axis=0)[n // 2]
+    mean = _sums(state.T) / n
+    return np.floor(mean) if rule is VotingRule.FLOOR_MEAN else mean
+
+
+def distances(space: SpaceSpec, state: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """``dist`` from each row of ``state`` to ``to`` (one row, or one row per agent)."""
+    if space.family is Family.BINARY:
+        return np.count_nonzero(state != to, axis=1)
+    gaps = np.abs(state - to)
+    if space.distance is Metric.L1:
+        return _sums(gaps)
+    if space.distance is Metric.L2:
+        return np.fromiter(map(math.hypot, *gaps.T.tolist()), np.float64, len(state))
+    return gaps.max(axis=1)
+
+
+def move(
+    space: SpaceSpec,
+    l1_mode: L1Mode,
+    state: np.ndarray,
+    w: np.ndarray,
+    d: np.ndarray,
+    epsilon: float,
+) -> np.ndarray:
+    """Every agent's default move toward ``w``; ``d`` holds the distances to it."""
+    if space.family is Family.BINARY:
+        # flip the first epsilon disagreements; within reach that is all of them
+        disagree = state != w
+        flip = disagree & (np.cumsum(disagree, axis=1) <= int(epsilon))
+        return state ^ flip.astype(_BALLOT)
+    gaps = w - state
+    if space.distance is Metric.L2:
+        norms = np.array([s ** 0.5 for s in map(sum, (gaps * gaps).tolist())])
+    elif space.distance is Metric.LINF:
+        norms = np.abs(gaps).max(axis=1)
+    else:
+        norms = d
+    if space.distance is Metric.L1 and l1_mode is L1Mode.COORD_ORDER:
+        # the budget left before each coordinate, spent in coordinate order;
+        # it stays positive while whole gaps are taken and drops to zero or
+        # below once one gap absorbs the rest
+        size = np.abs(gaps)
+        budget = np.subtract.accumulate(
+            np.hstack([np.full((len(state), 1), float(epsilon)), size[:, :-1]]), axis=1
+        )
+        active = budget > 0
+        steps = np.minimum(size, budget)
+        stepped = np.where(active, state + np.where(gaps > 0, steps, -steps), state)
+    else:
+        stepped = state + (epsilon / np.where(norms > 0, norms, 1.0))[:, None] * gaps
+    return np.where((norms <= epsilon)[:, None], w, stepped)
+
+
+def failing(
+    space: SpaceSpec,
+    mode: ConstraintMode,
+    before: np.ndarray,
+    after: np.ndarray,
+    w: np.ndarray,
+    d_before: np.ndarray,
+    epsilon: float,
+) -> np.ndarray:
+    """Indices of the agents whose move leaves the space or breaks an active law.
+
+    The same comparisons as ``check_constraints`` and ``validate_point``,
+    on the same distances, ``d_before`` reused from before the move.
+    """
+    tol = EUCLIDEAN_EQ_TOL if space.family is Family.EUCLIDEAN else 0
+    if space.family is Family.BINARY:
+        bad = (after > 1).any(axis=1)
+    elif space.integer_lattice:
+        bad = (after != np.floor(after)).any(axis=1)
+    else:
+        bad = np.zeros(len(after), dtype=bool)
+    d_after = distances(space, after, w)
+    target = np.maximum(0.0, d_before - epsilon)
+    if mode is ConstraintMode.APPROACH_ONLY:
+        bad |= d_after > target + tol
+        return np.flatnonzero(bad)
+    shift = distances(space, before, after)
+    bad |= np.abs(d_after - target) > tol
+    bad |= np.where(d_after <= tol, shift > epsilon + tol, np.abs(shift - epsilon) > tol)
+    return np.flatnonzero(bad)
+
+
+def moved(space: SpaceSpec, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Per agent, whether it moved: ``not points_equal(before, after)``."""
+    if space.family is Family.BINARY:
+        return (before != after).any(axis=1)
+    return ~(np.abs(before - after) <= EUCLIDEAN_EQ_TOL).all(axis=1)
+
+
+def is_consensus(space: SpaceSpec, state: np.ndarray) -> bool:
+    """``engine.is_consensus`` for a state array."""
+    return not moved(space, state[:1], state).any()

@@ -13,6 +13,22 @@ iteration).  A run ends in one of three ways:
 
 The full per-iteration trace is kept: profile, winner, distances, and the
 constraint-check result for every agent's move.
+
+``run`` advances the state in one of two ways, chosen from the config alone:
+
+* the array path, for the default policy on real vectors (every rule and
+  metric, both taxicab move modes, integer lattices included) and on
+  unconstrained ballots under Hamming distance with bitwise majority.  A
+  state is one array (see ``delibsim.arrays``); the rule, the moves, point
+  validation and both movement laws run over all agents at once, with the
+  same arithmetic as the per-agent code, and the first agent that fails
+  is reported by ``check_constraints`` itself, so errors read the same.
+  Records keep the state array and build ``points`` anew on each access;
+* the per-agent path, ``step``, for everything else: scripted and
+  seeded-random policies, committee ballots, rankings, the
+  deepest-disagreement metric, and any run while a winner override is
+  installed.  ``step`` is also the reference the array path is tested
+  against.
 """
 
 from __future__ import annotations
@@ -21,17 +37,28 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
+import numpy as np
+
+from . import arrays
 from . import rules as rules_mod
 from .errors import ConfigurationError, ConstraintViolationError
-from .policies import ConstraintMode, L1Mode, MovePolicy, PolicyKind, PolicySpec
+from .policies import (
+    ConstraintMode,
+    L1Mode,
+    MovePolicy,
+    PolicyKind,
+    PolicySpec,
+    check_constraints,
+)
 from .rules import Profile, RuleSpec, VotingRule
 from .spaces import EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec, dist, points_equal
 
 #: fallback iteration budget when no initial distance is available
 DEFAULT_MAX_ITERS = 10_000
-#: budget multiplier applied to the farthest agent's step count
+#: budget multiplier applied to the farthest agent's step count; also the
+#: constant of ``analysis.iteration_bound``'s CAP predictions
 CAP_MULTIPLIER = 10
 DEFAULT_GROWTH_WINDOW = 50
 
@@ -116,16 +143,55 @@ class EngineConfig:
             raise ConfigurationError("the growth window must be at least 1")
 
 
-@dataclass(frozen=True)
 class IterationRecord:
-    """State at one iteration plus, when a step ran from it, the move data."""
+    """State at one iteration plus, when a step ran from it, the move data.
 
-    index: int
-    points: tuple[Point, ...]
-    winner: Point
-    distances: tuple[float, ...]
-    moved: Optional[tuple[bool, ...]] = None
-    checks: Optional[tuple[Optional[str], ...]] = None
+    ``points`` is either a tuple of points or an array-path state (see
+    ``delibsim.arrays``).  A state array is kept as ``array`` and ``points``
+    then builds a new tuple of points on every read, so a trace holds one
+    array per state instead of n point objects; ``array`` is None otherwise.
+    """
+
+    __slots__ = ("index", "array", "_points", "winner", "distances", "moved", "checks")
+
+    def __init__(
+        self,
+        index: int,
+        points: Union[tuple[Point, ...], np.ndarray],
+        winner: Point,
+        distances: tuple[float, ...],
+        moved: Optional[tuple[bool, ...]] = None,
+        checks: Optional[tuple[Optional[str], ...]] = None,
+    ) -> None:
+        self.index = index
+        self.array = points if isinstance(points, np.ndarray) else None
+        self._points = None if self.array is not None else tuple(points)
+        self.winner = winner
+        self.distances = distances
+        self.moved = moved
+        self.checks = checks
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self.array is not None:
+            return arrays.points(self.array)
+        return self._points
+
+    def _fields(self) -> tuple:
+        return (self.index, self.points, self.winner, self.distances, self.moved, self.checks)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IterationRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        names = ("index", "points", "winner", "distances", "moved", "checks")
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
+        return f"IterationRecord({body})"
 
 
 @dataclass(frozen=True)
@@ -150,8 +216,32 @@ def is_consensus(profile: Profile) -> bool:
     return all(points_equal(profile.spec, first, p) for p in profile.points[1:])
 
 
-def _profile_key(profile: Profile) -> tuple:
-    return tuple(p.values for p in profile.points)
+def _state_key(state) -> object:
+    """Hashable identity of a profile or ballot state array, for cycle detection."""
+    if isinstance(state, np.ndarray):
+        return state.tobytes()
+    return tuple(p.values for p in state.points)
+
+
+def _state_is_consensus(state, config: EngineConfig) -> bool:
+    if isinstance(state, np.ndarray):
+        return arrays.is_consensus(config.space, state)
+    return is_consensus(state)
+
+
+def _referee(
+    config: EngineConfig, agent: int, iteration: int, before: Point, after: Point, w: Point
+) -> None:
+    """Raise unless ``check_constraints`` accepts one agent's move."""
+    violation = check_constraints(
+        config.space, before, after, w, config.epsilon, config.policy.constraint_mode
+    )
+    if violation is not None:
+        raise ConstraintViolationError(
+            f"agent {agent} at iteration {iteration}: {violation}",
+            agent=agent,
+            iteration=iteration,
+        )
 
 
 def step(
@@ -162,28 +252,16 @@ def step(
     iteration: int = 0,
 ) -> tuple[Profile, IterationRecord]:
     """One synchronized iteration; returns the next profile and this state's record."""
-    from .policies import check_constraints
-
     space = config.space
     mover = policy if policy is not None else MovePolicy(space, config.policy)
     w = rules_mod.winner(config.rule, profile)
     distances = tuple(dist(space, p, w) for p in profile.points)
     next_points = []
-    checks = []
     moved = []
     for i, p in enumerate(profile.points):
         p_next = mover.move(p, w, config.epsilon, iteration, i)
-        violation = check_constraints(
-            space, p, p_next, w, config.epsilon, config.policy.constraint_mode
-        )
-        if violation is not None:
-            raise ConstraintViolationError(
-                f"agent {i} at iteration {iteration}: {violation}",
-                agent=i,
-                iteration=iteration,
-            )
+        _referee(config, i, iteration, p, p_next, w)
         next_points.append(p_next)
-        checks.append(violation)
         moved.append(not points_equal(space, p, p_next))
     record = IterationRecord(
         index=iteration,
@@ -191,20 +269,82 @@ def step(
         winner=w,
         distances=distances,
         moved=tuple(moved),
-        checks=tuple(checks),
+        checks=(None,) * profile.n,
     )
     return Profile(space, tuple(next_points)), record
 
 
-def _terminal_record(profile: Profile, config: EngineConfig, index: int) -> IterationRecord:
-    w = rules_mod.winner(config.rule, profile)
-    distances = tuple(dist(config.space, p, w) for p in profile.points)
-    return IterationRecord(index=index, points=profile.points, winner=w, distances=distances)
+def _takes_array_path(config: EngineConfig) -> bool:
+    # an installed winner override must see every winner call, and only
+    # the per-agent path goes through rules.winner
+    if config.policy.kind is not PolicyKind.DEFAULT or rules_mod._winner_override is not None:
+        return False
+    if config.space.family is Family.EUCLIDEAN:
+        return True
+    # EngineConfig already limits bitwise majority to unconstrained ballots
+    return config.space.distance is Metric.HAMMING and config.rule.rule is VotingRule.MAJORITY
 
 
-def _default_max_iters(profile: Profile, config: EngineConfig) -> int:
-    w0 = rules_mod.winner(config.rule, profile)
-    far = max(dist(config.space, p, w0) for p in profile.points)
+def check_array_moves(
+    config: EngineConfig,
+    before: np.ndarray,
+    after: np.ndarray,
+    w: np.ndarray,
+    d_before: np.ndarray,
+    iteration: int,
+) -> None:
+    """The array path's referee: raise as ``step`` would for the same moves.
+
+    Every agent is checked at once; the first one that fails is handed to
+    ``check_constraints``, so the error names the same agent with the same
+    message (or is the same ``InvalidPointError`` for a point off the space).
+    """
+    bad = arrays.failing(
+        config.space, config.policy.constraint_mode, before, after, w, d_before, config.epsilon
+    )
+    for i in bad.tolist():
+        _referee(
+            config, i, iteration, arrays.point(before[i]), arrays.point(after[i]), arrays.point(w)
+        )
+
+
+def _array_step(
+    state: np.ndarray, config: EngineConfig, iteration: int
+) -> tuple[np.ndarray, IterationRecord]:
+    """``step`` for a state array."""
+    space, epsilon = config.space, config.epsilon
+    w = arrays.winner(config.rule.rule, state)
+    d = arrays.distances(space, state, w)
+    after = arrays.move(space, config.policy.l1_mode, state, w, d, epsilon)
+    check_array_moves(config, state, after, w, d, iteration)
+    record = IterationRecord(
+        index=iteration,
+        points=state,
+        winner=arrays.point(w),
+        distances=tuple(d.tolist()),
+        moved=tuple(arrays.moved(space, state, after).tolist()),
+        checks=(None,) * len(state),
+    )
+    return after, record
+
+
+def _winner_and_distances(state, config: EngineConfig) -> tuple[Point, tuple]:
+    """The winner of a profile or state array and every agent's distance to it."""
+    if isinstance(state, np.ndarray):
+        w = arrays.winner(config.rule.rule, state)
+        return arrays.point(w), tuple(arrays.distances(config.space, state, w).tolist())
+    w = rules_mod.winner(config.rule, state)
+    return w, tuple(dist(config.space, p, w) for p in state.points)
+
+
+def _terminal_record(state, config: EngineConfig, index: int) -> IterationRecord:
+    points = state if isinstance(state, np.ndarray) else state.points
+    w, distances = _winner_and_distances(state, config)
+    return IterationRecord(index=index, points=points, winner=w, distances=distances)
+
+
+def _default_max_iters(state, config: EngineConfig) -> int:
+    far = max(_winner_and_distances(state, config)[1])
     if far <= EUCLIDEAN_EQ_TOL:
         return DEFAULT_MAX_ITERS
     return max(1, CAP_MULTIPLIER * math.ceil(far / config.epsilon))
@@ -226,37 +366,42 @@ def run(initial: Profile, config: EngineConfig) -> RunReport:
     if initial.spec != config.space:
         raise ConfigurationError("the profile's space differs from the configured space")
     started = time.perf_counter()
-    max_iters = config.max_iters or _default_max_iters(initial, config)
-    mover = MovePolicy(config.space, config.policy)
+    if _takes_array_path(config):
+        state = arrays.from_profile(initial)
+        advance = lambda state, j: _array_step(state, config, j)
+    else:
+        state = initial
+        mover = MovePolicy(config.space, config.policy)
+        advance = lambda state, j: step(state, config, policy=mover, iteration=j)
+    max_iters = config.max_iters or _default_max_iters(state, config)
     trace: list[IterationRecord] = []
-    seen = {_profile_key(initial): 0} if config.cycle_detection else None
-    profile = initial
+    seen = {_state_key(state): 0} if config.cycle_detection else None
     outcome = Outcome.CAP_REACHED
     point = None
     cycle_period = None
     cycle_first = None
     for j in range(max_iters):
-        next_profile, record = step(profile, config, policy=mover, iteration=j)
+        next_state, record = advance(state, j)
         trace.append(record)
         if not any(record.moved):
             outcome = Outcome.CONVERGED
             point = record.winner
             break
-        profile = next_profile
+        state = next_state
         if seen is not None:
-            key = _profile_key(profile)
+            key = _state_key(state)
             if key in seen:
                 outcome = Outcome.CYCLE
                 cycle_first = seen[key]
                 cycle_period = (j + 1) - cycle_first
-                trace.append(_terminal_record(profile, config, j + 1))
+                trace.append(_terminal_record(state, config, j + 1))
                 break
             seen[key] = j + 1
     else:
-        terminal = _terminal_record(profile, config, max_iters)
+        terminal = _terminal_record(state, config, max_iters)
         trace.append(terminal)
         # consensus reached on the budget's last step still counts
-        if is_consensus(profile):
+        if _state_is_consensus(state, config):
             outcome = Outcome.CONVERGED
             point = terminal.winner
     growth = _growth_detected(trace, config) if outcome is Outcome.CAP_REACHED else None

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Union
 
+from . import arrays
 from .engine import EngineConfig, Outcome, RunReport
 from .errors import ConfigurationError, ParseError
 from .rules import Profile, VotingRule
@@ -204,13 +205,21 @@ def save_script(
 
 
 def write_trace_jsonl(report: RunReport, space: SpaceSpec, out: Union[str, IO[str]]) -> None:
-    """One JSON object per observed state, in order."""
+    """One JSON object per observed state, in order.
+
+    Array-backed states are written straight from their arrays, with the
+    same bytes ``point_to_json`` gives for the points they stand for.
+    """
 
     def emit(fh: IO[str]) -> None:
         for r in report.trace:
+            if r.array is not None:
+                points = arrays.to_json(r.array)
+            else:
+                points = [point_to_json(space, p) for p in r.points]
             row = {
                 "index": r.index,
-                "points": [point_to_json(space, p) for p in r.points],
+                "points": points,
                 "winner": point_to_json(space, r.winner),
                 "distances": list(r.distances),
                 "moved": list(r.moved) if r.moved is not None else None,

@@ -10,7 +10,22 @@ import itertools
 import math
 from collections import deque
 
-from delibsim import Family, Metric, Point, SpaceSpec
+from delibsim import (
+    Family,
+    IterationRecord,
+    Metric,
+    MovePolicy,
+    Outcome,
+    Point,
+    RunReport,
+    SpaceSpec,
+    dist,
+    is_consensus,
+    step,
+    winner,
+)
+from delibsim.engine import CAP_MULTIPLIER, DEFAULT_MAX_ITERS
+from delibsim.spaces import EUCLIDEAN_EQ_TOL
 
 
 def euclidean(metric: Metric, dim: int, lattice: bool = False) -> SpaceSpec:
@@ -110,3 +125,68 @@ def kendall_tau(a, b) -> int:
             if (pos_a[x] - pos_a[y]) * (pos_b[x] - pos_b[y]) < 0:
                 count += 1
     return count
+
+
+def reference_run(initial, config):
+    """``engine.run`` rebuilt from the public per-agent ``step``.
+
+    The same budget, outcome, cycle and growth rules as ``run``, written
+    out again so that a run on the array path can be compared with what
+    iterating ``step`` gives.  Returns a ``RunReport``.
+    """
+    space = config.space
+
+    def observe(profile, index):
+        w = winner(config.rule, profile)
+        distances = tuple(dist(space, p, w) for p in profile.points)
+        return IterationRecord(index, profile.points, w, distances)
+
+    max_iters = config.max_iters
+    if max_iters is None:
+        far = max(observe(initial, 0).distances)
+        max_iters = (
+            DEFAULT_MAX_ITERS
+            if far <= EUCLIDEAN_EQ_TOL
+            else max(1, CAP_MULTIPLIER * math.ceil(far / config.epsilon))
+        )
+    mover = MovePolicy(space, config.policy)
+    seen = {}
+    trace = []
+    profile = initial
+    outcome, point, period, first = Outcome.CAP_REACHED, None, None, None
+    for j in range(max_iters):
+        if config.cycle_detection:
+            seen[tuple(p.values for p in profile.points)] = j
+        nxt, record = step(profile, config, policy=mover, iteration=j)
+        trace.append(record)
+        if not any(record.moved):
+            outcome, point = Outcome.CONVERGED, record.winner
+            break
+        profile = nxt
+        key = tuple(p.values for p in profile.points)
+        if config.cycle_detection and key in seen:
+            outcome, first = Outcome.CYCLE, seen[key]
+            period = j + 1 - first
+            trace.append(observe(profile, j + 1))
+            break
+    else:
+        trace.append(observe(profile, max_iters))
+        if is_consensus(profile):
+            outcome, point = Outcome.CONVERGED, trace[-1].winner
+    growth = None
+    if outcome is Outcome.CAP_REACHED:
+        window = trace[-(config.growth_window + 1):]
+        drift = [dist(space, r.winner, trace[0].winner) for r in window]
+        growth = len(trace) > config.growth_window and all(
+            a < b for a, b in zip(drift, drift[1:])
+        )
+    return RunReport(
+        outcome=outcome,
+        point=point,
+        moving_iterations=sum(1 for r in trace if r.moved and any(r.moved)),
+        states=len(trace),
+        trace=tuple(trace),
+        cycle_period=period,
+        cycle_first_index=first,
+        growth_detected=growth,
+    )
