@@ -27,6 +27,7 @@ from .rules import (
     Profile,
     RuleSpec,
     VotingRule,
+    _tiebreak_positions,
     candidate_scores,
     scoring_ranking,
     stv_rounds,
@@ -93,15 +94,6 @@ def lex_compare(p: PotentialVector, q: PotentialVector) -> Comparison:
     return Comparison.EQUAL
 
 
-def _priority_scores(m: int, order: Sequence[int]) -> list[int]:
-    if sorted(order) != list(range(m)):
-        raise ConfigurationError("tie-break order must be a permutation of the candidates")
-    out = [0] * m
-    for pos, c in enumerate(order):
-        out[c] = m - 1 - pos
-    return out
-
-
 def potential_scoring(
     profile: Profile, kind: VotingRule, order: Sequence[int]
 ) -> PotentialVector:
@@ -111,7 +103,7 @@ def potential_scoring(
     m = profile.spec.num_candidates
     scores = candidate_scores(profile, kind)
     borda = candidate_scores(profile, VotingRule.BORDA)
-    priority = _priority_scores(m, order)
+    priority = [m - 1 - pos for pos in _tiebreak_positions(m, order)]
     w = scoring_ranking(profile, kind, order)
     return PotentialVector(
         tuple((scores[c], priority[c], borda[c]) for c in w.ranking)
@@ -128,7 +120,7 @@ def potential_stv(profile: Profile, order: Sequence[int]) -> PotentialVector:
     """
     m = profile.spec.num_candidates
     borda = candidate_scores(profile, VotingRule.BORDA)
-    priority = _priority_scores(m, order)
+    priority = [m - 1 - pos for pos in _tiebreak_positions(m, order)]
     rounds = stv_rounds(profile, order)
     return PotentialVector(
         tuple((count, priority[c], borda[c]) for c, count in rounds)

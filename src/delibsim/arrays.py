@@ -141,10 +141,10 @@ def failing(
     tol = EUCLIDEAN_EQ_TOL if space.family is Family.EUCLIDEAN else 0
     if space.family is Family.BINARY:
         bad = (after > 1).any(axis=1)
-    elif space.integer_lattice:
-        bad = (after != np.floor(after)).any(axis=1)
     else:
-        bad = np.zeros(len(after), dtype=bool)
+        bad = ~np.isfinite(after).all(axis=1)
+        if space.integer_lattice:
+            bad |= (after != np.floor(after)).any(axis=1)
     d_after = distances(space, after, w)
     target = np.maximum(0.0, d_before - epsilon)
     if mode is ConstraintMode.APPROACH_ONLY:

@@ -67,6 +67,14 @@ def _load_config_file(path: Optional[str]) -> dict:
     return obj
 
 
+def _convert(kind, value, what: str):
+    """``kind(value)`` for a value read from a config file; a ParseError if it does not fit."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"invalid {what}: {value!r}") from None
+
+
 def _resolve_space(cfg: dict, args: argparse.Namespace) -> Optional[SpaceSpec]:
     obj = dict(cfg.get("space") or {})
     if getattr(args, "space", None):
@@ -109,10 +117,7 @@ def _resolve_rule(cfg: dict, args: argparse.Namespace, space: SpaceSpec) -> Rule
         kind_name = args.rule
     if kind_name is None:
         raise ParseError("no voting rule given (use --rule or the config file)")
-    try:
-        kind = VotingRule(kind_name)
-    except ValueError:
-        raise ParseError(f"unknown rule {kind_name!r}") from None
+    kind = _convert(VotingRule, kind_name, "rule")
     if tiebreak is None and kind in _NEEDS_TIEBREAK:
         tiebreak = tuple(range(_space_size(space)))
     return RuleSpec(kind, tuple(tiebreak) if tiebreak is not None else None)
@@ -124,10 +129,12 @@ def _resolve_policy(
     obj = dict(cfg.get("policy") or {})
     if getattr(args, "policy", None):
         obj["kind"] = args.policy
-    kind = PolicyKind(obj.get("kind", PolicyKind.DEFAULT.value))
+    kind = _convert(PolicyKind, obj.get("kind", PolicyKind.DEFAULT.value), "policy kind")
     seed = obj.get("seed")
     if seed is None and kind is PolicyKind.SEEDED_RANDOM:
         seed = default_seed
+    if seed is not None:
+        seed = _convert(int, seed, "policy seed")
     script = None
     if "script" in obj and obj["script"] is not None:
         script = load_script(obj["script"], space)
@@ -142,29 +149,25 @@ def _resolve_policy(
         kind=kind,
         seed=seed,
         script=script,
-        l1_mode=L1Mode(obj.get("l1_mode", L1Mode.COORD_ORDER.value)),
-        constraint_mode=ConstraintMode(
-            obj.get("constraint_mode", default_mode.value)
+        l1_mode=_convert(L1Mode, obj.get("l1_mode", L1Mode.COORD_ORDER.value), "l1_mode"),
+        constraint_mode=_convert(
+            ConstraintMode, obj.get("constraint_mode", default_mode.value), "constraint_mode"
         ),
     )
 
 
-_OVERRIDE_FIELDS = (
-    "space", "distance", "rule", "epsilon", "policy", "seed",
-    "n", "m", "k", "dim", "max_iters", "profile",
-)
-
-
-def _blank_args() -> argparse.Namespace:
-    return argparse.Namespace(**{field: None for field in _OVERRIDE_FIELDS})
+def _setting(cfg: dict, args: argparse.Namespace, name: str, default=None):
+    """A flag's value when the command has that flag and it was given, else the config's."""
+    value = getattr(args, name, None)
+    return value if value is not None else cfg.get(name, default)
 
 
 def _setup(cfg: dict, args: argparse.Namespace) -> tuple[Profile, EngineConfig, int]:
     """Merge config file and flag overrides into a ready-to-run pair."""
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _convert(int, _setting(cfg, args, "seed", 0), "seed")
     space = _resolve_space(cfg, args)
     profile = None
-    profile_src = args.profile or cfg.get("profile")
+    profile_src = getattr(args, "profile", None) or cfg.get("profile")
     if profile_src is not None:
         profile = (
             load_profile(profile_src)
@@ -184,7 +187,7 @@ def _setup(cfg: dict, args: argparse.Namespace) -> tuple[Profile, EngineConfig, 
     elif profile is not None:
         initial = profile
     else:
-        n = args.n if args.n is not None else cfg.get("n")
+        n = _setting(cfg, args, "n")
         if n is None:
             raise ParseError(
                 "no initial profile: give --profile, a script, or --n to generate"
@@ -193,20 +196,19 @@ def _setup(cfg: dict, args: argparse.Namespace) -> tuple[Profile, EngineConfig, 
         initial = generate(
             GeneratorSpec(
                 space,
-                n=int(n),
+                n=_convert(int, n, "n"),
                 seed=seed,
                 euclidean_box=tuple(tuple(r) for r in box) if box else None,
             )
         )
     rule = _resolve_rule(cfg, args, space)
-    epsilon = args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1.0)
-    max_iters = args.max_iters if args.max_iters is not None else cfg.get("max_iters")
+    max_iters = _setting(cfg, args, "max_iters")
     config = EngineConfig(
         space,
         rule,
         policy,
-        epsilon=float(epsilon),
-        max_iters=int(max_iters) if max_iters is not None else None,
+        epsilon=_convert(float, _setting(cfg, args, "epsilon", 1.0), "epsilon"),
+        max_iters=_convert(int, max_iters, "max_iters") if max_iters is not None else None,
     )
     return initial, config, seed
 
@@ -256,10 +258,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 raise ParseError("each batch configuration must be an object")
             for seed in seeds:
                 merged = dict(entry)
-                merged["seed"] = int(seed)
-                initial, config, _ = _setup(merged, _blank_args())
+                merged["seed"] = seed
+                initial, config, row_seed = _setup(merged, args)
                 report = run(initial, config)
-                rows.append(summary_row(report, config, int(seed)))
+                rows.append(summary_row(report, config, row_seed))
     except DelibError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

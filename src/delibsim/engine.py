@@ -11,8 +11,10 @@ iteration).  A run ends in one of three ways:
 * CAP_REACHED - the iteration budget ran out; a growth flag reports whether
   the winner was still drifting monotonically away from where it started.
 
-The full per-iteration trace is kept: profile, winner, distances, and the
-constraint-check result for every agent's move.
+The full per-iteration trace is kept: profile, winner, every agent's
+distance to it, and which agents moved.  Every proposed move is refereed
+before it is taken: the new point must belong to the space and the move
+must pass ``check_constraints``; a move that fails raises.
 
 ``run`` advances the state in one of two ways, chosen from the config alone:
 
@@ -22,7 +24,7 @@ constraint-check result for every agent's move.
   state is one array (see ``delibsim.arrays``); the rule, the moves, point
   validation and both movement laws run over all agents at once, with the
   same arithmetic as the per-agent code, and the first agent that fails
-  is reported by ``check_constraints`` itself, so errors read the same.
+  is reported by ``step``'s own referee, so errors read the same.
   Records keep the state array and build ``points`` anew on each access;
 * the per-agent path, ``step``, for everything else: scripted and
   seeded-random policies, committee ballots, rankings, the
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import arrays
 from . import rules as rules_mod
-from .errors import ConfigurationError, ConstraintViolationError
+from .errors import ConfigurationError, ConstraintViolationError, InvalidPointError
 from .policies import (
     ConstraintMode,
     L1Mode,
@@ -53,7 +55,9 @@ from .policies import (
     check_constraints,
 )
 from .rules import Profile, RuleSpec, VotingRule
-from .spaces import EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec, dist, points_equal
+from .spaces import (
+    EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec, dist, points_equal, validate_point
+)
 
 #: fallback iteration budget when no initial distance is available
 DEFAULT_MAX_ITERS = 10_000
@@ -85,26 +89,12 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         space, rule, policy = self.space, self.rule, self.policy
-        if self.epsilon <= 0:
-            raise ConfigurationError("step size must be positive")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ConfigurationError(f"step size must be positive and finite, got {self.epsilon}")
         discrete = space.family is not Family.EUCLIDEAN
         if discrete and self.epsilon != int(self.epsilon):
             raise ConfigurationError("discrete spaces need an integer step size")
-        expected = rules_mod._RULE_FAMILY[rule.rule]
-        if space.family is not expected:
-            raise ConfigurationError(
-                f"rule {rule.rule.value} needs a {expected.value} space, "
-                f"got {space.family.value}"
-            )
-        if rule.tiebreak_order is not None and space.num_candidates is not None:
-            if len(rule.tiebreak_order) != space.num_candidates:
-                raise ConfigurationError(
-                    "tiebreak order length does not match the candidate count"
-                )
-        if rule.rule is VotingRule.MAJORITY and space.committee_size is not None:
-            raise ConfigurationError("bitwise majority applies to unconstrained ballots")
-        if rule.rule is VotingRule.TOPK_MAJORITY and space.committee_size is None:
-            raise ConfigurationError("topk_majority needs a space with a committee size")
+        rules_mod.require_compatible(rule, space)
         if (
             space.distance is Metric.HAMMING
             and space.committee_size is not None
@@ -141,6 +131,9 @@ class EngineConfig:
             raise ConfigurationError("the iteration budget must be at least 1")
         if self.growth_window < 1:
             raise ConfigurationError("the growth window must be at least 1")
+        if policy.kind is PolicyKind.SCRIPTED:
+            for entry in policy.script:
+                Profile(space, entry)  # raises InvalidPointError for a point off the space
 
 
 class IterationRecord:
@@ -152,7 +145,7 @@ class IterationRecord:
     array per state instead of n point objects; ``array`` is None otherwise.
     """
 
-    __slots__ = ("index", "array", "_points", "winner", "distances", "moved", "checks")
+    __slots__ = ("index", "array", "_points", "winner", "distances", "moved")
 
     def __init__(
         self,
@@ -161,7 +154,6 @@ class IterationRecord:
         winner: Point,
         distances: tuple[float, ...],
         moved: Optional[tuple[bool, ...]] = None,
-        checks: Optional[tuple[Optional[str], ...]] = None,
     ) -> None:
         self.index = index
         self.array = points if isinstance(points, np.ndarray) else None
@@ -169,7 +161,6 @@ class IterationRecord:
         self.winner = winner
         self.distances = distances
         self.moved = moved
-        self.checks = checks
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -178,7 +169,7 @@ class IterationRecord:
         return self._points
 
     def _fields(self) -> tuple:
-        return (self.index, self.points, self.winner, self.distances, self.moved, self.checks)
+        return (self.index, self.points, self.winner, self.distances, self.moved)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IterationRecord):
@@ -189,7 +180,7 @@ class IterationRecord:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        names = ("index", "points", "winner", "distances", "moved", "checks")
+        names = ("index", "points", "winner", "distances", "moved")
         body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
         return f"IterationRecord({body})"
 
@@ -232,7 +223,10 @@ def _state_is_consensus(state, config: EngineConfig) -> bool:
 def _referee(
     config: EngineConfig, agent: int, iteration: int, before: Point, after: Point, w: Point
 ) -> None:
-    """Raise unless ``check_constraints`` accepts one agent's move."""
+    """Raise unless one agent's new point is in the space and its move is legal."""
+    violation = validate_point(config.space, after)
+    if violation is not None:
+        raise InvalidPointError(violation)
     violation = check_constraints(
         config.space, before, after, w, config.epsilon, config.policy.constraint_mode
     )
@@ -269,7 +263,6 @@ def step(
         winner=w,
         distances=distances,
         moved=tuple(moved),
-        checks=(None,) * profile.n,
     )
     return Profile(space, tuple(next_points)), record
 
@@ -296,7 +289,7 @@ def check_array_moves(
     """The array path's referee: raise as ``step`` would for the same moves.
 
     Every agent is checked at once; the first one that fails is handed to
-    ``check_constraints``, so the error names the same agent with the same
+    ``step``'s referee, so the error names the same agent with the same
     message (or is the same ``InvalidPointError`` for a point off the space).
     """
     bad = arrays.failing(
@@ -323,7 +316,6 @@ def _array_step(
         winner=arrays.point(w),
         distances=tuple(d.tolist()),
         moved=tuple(arrays.moved(space, state, after).tolist()),
-        checks=(None,) * len(state),
     )
     return after, record
 

@@ -133,6 +133,10 @@ def space_from_json(obj) -> SpaceSpec:
         distance = Metric(obj["distance"])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    for key in ("dimension", "num_candidates", "committee_size"):
+        value = obj.get(key)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ParseError(f"space field {key!r} must be an integer, got {value!r}")
     return SpaceSpec(
         family=family,
         distance=distance,
@@ -161,8 +165,11 @@ def profile_from_json(obj) -> Profile:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -223,7 +230,6 @@ def write_trace_jsonl(report: RunReport, space: SpaceSpec, out: Union[str, IO[st
                 "winner": point_to_json(space, r.winner),
                 "distances": list(r.distances),
                 "moved": list(r.moved) if r.moved is not None else None,
-                "checks": list(r.checks) if r.checks is not None else None,
             }
             fh.write(json.dumps(row) + "\n")
 

@@ -111,6 +111,8 @@ def _tiebreak_positions(m: int, tiebreak: Optional[Sequence[int]]) -> list[int]:
         raise ConfigurationError(
             f"tiebreak order lists {len(tiebreak)} candidates, space has {m}"
         )
+    if sorted(tiebreak) != list(range(m)):
+        raise ConfigurationError("tiebreak order must be a permutation of the candidates")
     pos = [0] * m
     for i, c in enumerate(tiebreak):
         pos[c] = i
@@ -292,18 +294,30 @@ def set_winner_override(fn: Optional[Callable[[RuleSpec, Profile], Point]]) -> N
     _winner_override = fn
 
 
+def require_compatible(rule: RuleSpec, space: SpaceSpec) -> None:
+    """Raise ConfigurationError unless ``rule`` can pick winners in ``space``."""
+    expected = _RULE_FAMILY[rule.rule]
+    if space.family is not expected:
+        raise ConfigurationError(
+            f"rule {rule.rule.value} needs a {expected.value} space, got {space.family.value}"
+        )
+    order = rule.tiebreak_order
+    if order is None and rule.rule in _NEEDS_TIEBREAK:
+        raise ConfigurationError(f"rule {rule.rule.value} needs a tiebreak order")
+    m = space.num_candidates
+    if order is not None and m is not None and len(order) != m:
+        raise ConfigurationError(f"tiebreak order lists {len(order)} candidates, space has {m}")
+    if rule.rule is VotingRule.MAJORITY and space.committee_size is not None:
+        raise ConfigurationError("bitwise majority applies to unconstrained ballots")
+    if rule.rule is VotingRule.TOPK_MAJORITY and space.committee_size is None:
+        raise ConfigurationError("topk_majority needs a space with a committee size")
+
+
 def winner(rule: RuleSpec, profile: Profile) -> Point:
     """Apply a rule to a profile after checking the pairing makes sense."""
     if _winner_override is not None:
         return _winner_override(rule, profile)
-    expected = _RULE_FAMILY[rule.rule]
-    if profile.spec.family is not expected:
-        raise ConfigurationError(
-            f"rule {rule.rule.value} needs a {expected.value} space, "
-            f"got {profile.spec.family.value}"
-        )
-    if rule.rule in _NEEDS_TIEBREAK and rule.tiebreak_order is None:
-        raise ConfigurationError(f"rule {rule.rule.value} needs a tiebreak order")
+    require_compatible(rule, profile.spec)
     if rule.rule is VotingRule.MEAN:
         return mean_elementwise(profile)
     if rule.rule is VotingRule.FLOOR_MEAN:
@@ -313,8 +327,6 @@ def winner(rule: RuleSpec, profile: Profile) -> Point:
     if rule.rule is VotingRule.MAJORITY:
         return bitwise_majority(profile)
     if rule.rule is VotingRule.TOPK_MAJORITY:
-        if profile.spec.committee_size is None:
-            raise ConfigurationError("topk_majority needs a space with a committee size")
         return topk_majority(profile, profile.spec.committee_size, rule.tiebreak_order)
     if rule.rule is VotingRule.KEMENY:
         return kemeny_ranking(profile, rule.tiebreak_order)

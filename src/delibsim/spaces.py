@@ -5,6 +5,11 @@ Three families of positions are supported: real vectors, binary ballots
 and rankings (permutations of candidate indices).  Every type here is an
 immutable value and every function is pure.
 
+A point is validated once, where it enters the program: ``Profile`` and
+``point_from_json`` check theirs, ``EngineConfig`` checks a script's points
+and the engine's referee checks each proposed move.  The distance functions
+take valid points of their space and do not check them again.
+
 Point equality in real-vector spaces is tolerance-based (two coordinates
 closer than ``EUCLIDEAN_EQ_TOL`` count as equal); discrete families compare
 exactly.
@@ -146,6 +151,9 @@ def validate_point(space: SpaceSpec, point: Point) -> Optional[str]:
         vec = point.real_vector
         if len(vec) != space.dimension:
             return f"expected {space.dimension} coordinates, got {len(vec)}"
+        for i, x in enumerate(vec):
+            if not math.isfinite(x):
+                return f"coordinate {i} = {x} is not finite"
         if space.integer_lattice:
             for i, x in enumerate(vec):
                 if x != math.floor(x):
@@ -169,18 +177,10 @@ def validate_point(space: SpaceSpec, point: Point) -> Optional[str]:
     return None
 
 
-def _require_valid(space: SpaceSpec, *points: Point) -> None:
-    for p in points:
-        violation = validate_point(space, p)
-        if violation is not None:
-            raise InvalidPointError(violation)
-
-
 def dist_lp(space: SpaceSpec, x: Point, y: Point) -> float:
     """Minkowski distance on real vectors, selected by the space's metric."""
     if space.family is not Family.EUCLIDEAN:
         raise InvalidPointError("dist_lp requires a euclidean space")
-    _require_valid(space, x, y)
     diffs = [abs(a - b) for a, b in zip(x.real_vector, y.real_vector)]
     if space.distance is Metric.L1:
         return sum(diffs)
@@ -193,7 +193,6 @@ def dist_hamming(space: SpaceSpec, x: Point, y: Point) -> int:
     """Number of entries at which two ballots differ."""
     if space.family is not Family.BINARY:
         raise InvalidPointError("dist_hamming requires a binary space")
-    _require_valid(space, x, y)
     return sum(a != b for a, b in zip(x.bits, y.bits))
 
 
@@ -206,7 +205,6 @@ def dist_first_changed(space: SpaceSpec, x: Point, y: Point) -> int:
     """
     if space.family is Family.EUCLIDEAN:
         raise InvalidPointError("dist_first_changed requires a discrete space")
-    _require_valid(space, x, y)
     a, b = x.values, y.values
     for i in range(len(a) - 1, -1, -1):
         if a[i] != b[i]:
@@ -222,7 +220,6 @@ def dist_swap(space: SpaceSpec, x: Point, y: Point) -> int:
     """
     if space.family is not Family.RANKING:
         raise InvalidPointError("dist_swap requires a ranking space")
-    _require_valid(space, x, y)
     pos = {c: i for i, c in enumerate(y.ranking)}
     seq = [pos[c] for c in x.ranking]
     inversions = 0

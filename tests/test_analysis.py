@@ -98,6 +98,14 @@ def test_potential_stv_golden_vector():
     assert pot.flat == (0, 1, 2, 1, 0, 2, 3, 2, 5)
 
 
+def test_potentials_reject_an_order_that_is_not_a_permutation():
+    p = ranking_profile(3, *ORDINAL)
+    with pytest.raises(ConfigurationError):
+        potential_scoring(p, VotingRule.PLURALITY, (0, 0, 1))
+    with pytest.raises(ConfigurationError):
+        potential_stv(p, (0, 0, 1))
+
+
 def test_potential_stv_single_ballot():
     p = ranking_profile(2, (0, 1))
     assert potential_stv(p, (0, 1)).flat == (0, 0, 0, 1, 1, 1)

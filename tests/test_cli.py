@@ -250,6 +250,35 @@ def test_verify_corrupt_negative_control(capsys):
 # --- argument handling -------------------------------------------------------
 
 
+_RUN_CFG = {
+    "space": {"family": "euclidean", "distance": "l2", "dimension": 2},
+    "rule": "mean",
+    "n": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags",
+    [
+        ("run", {**_RUN_CFG, "n": "abc"}, []),
+        ("run", {**_RUN_CFG, "epsilon": "x"}, []),
+        ("run", {**_RUN_CFG, "epsilon": float("nan")}, []),
+        ("run", {**_RUN_CFG, "policy": {"kind": "bogus"}}, []),
+        ("run", {**_RUN_CFG, "space": {**_RUN_CFG["space"], "dimension": "2"}}, []),
+        ("run", _RUN_CFG, ["--profile", "missing.json"]),
+        ("batch", {"seeds": ["x"], "configurations": [_RUN_CFG]}, []),
+    ],
+    ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed"],
+)
+def test_bad_input_prints_an_error_line(tmp_path, monkeypatch, capsys, command, cfg, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli(command, "cfg.json", *flags) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_rule_rejected():
     with pytest.raises(SystemExit):
         run_cli("run", "--space", "euclidean", "--distance", "l2", "--dim", "1",

@@ -1,5 +1,7 @@
 """Engine: configuration guards, stepping, termination, and run reports."""
 
+import math
+
 import pytest
 
 from delibsim import (
@@ -42,6 +44,12 @@ def test_config_rejects_nonpositive_epsilon():
         EngineConfig(space, RuleSpec(VotingRule.MEAN), epsilon=0.0)
     with pytest.raises(ConfigurationError):
         EngineConfig(space, RuleSpec(VotingRule.MEAN), epsilon=-1.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_config_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ConfigurationError):
+        EngineConfig(euclidean(Metric.L2, 1), RuleSpec(VotingRule.MEAN), epsilon=epsilon)
 
 
 def test_config_rejects_fractional_discrete_step():
@@ -140,7 +148,6 @@ def test_step_computes_winner_distances_and_moves():
     assert record.winner.real_vector == (5.0,)
     assert record.distances == (2.0, 0.0, 3.0)
     assert record.moved == (True, False, True)
-    assert record.checks == (None, None, None)
     assert [p.real_vector[0] for p in after.points] == [4.0, 5.0, 7.0]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from delibsim import (
     ConfigurationError,
+    EngineConfig,
     Metric,
     Point,
     Profile,
@@ -248,6 +249,23 @@ def test_winner_requires_tiebreak_where_needed():
             winner(RuleSpec(rule), rp)
     # kemeny's tiebreak is optional
     winner(RuleSpec(VotingRule.KEMENY), rp)
+
+
+def test_config_and_winner_share_one_compatibility_check():
+    rp = ranking_profile(3, *ORDINAL)
+    cases = (
+        (RuleSpec(VotingRule.MEAN), rp),
+        (RuleSpec(VotingRule.PLURALITY), rp),
+        (RuleSpec(VotingRule.KEMENY, (0, 1, 2, 3)), rp),
+        (RuleSpec(VotingRule.MAJORITY), ballot_profile(3, "110", k=2)),
+        (RuleSpec(VotingRule.TOPK_MAJORITY, (0, 1, 2)), ballot_profile(3, "110")),
+    )
+    for rule, profile in cases:
+        with pytest.raises(ConfigurationError) as from_winner:
+            winner(rule, profile)
+        with pytest.raises(ConfigurationError) as from_config:
+            EngineConfig(profile.spec, rule, epsilon=2.0)
+        assert str(from_config.value) == str(from_winner.value)
 
 
 def test_winner_override_hook():

@@ -8,18 +8,26 @@ from hypothesis import strategies as st
 
 from delibsim import (
     ConfigurationError,
+    EngineConfig,
     Family,
     InvalidPointError,
     Metric,
+    MovePolicy,
     Point,
+    PolicyKind,
+    PolicySpec,
+    Profile,
+    RuleSpec,
     SpaceSpec,
+    VotingRule,
     dist,
     point_from_json,
     point_to_json,
     points_equal,
+    step,
     validate_point,
 )
-from delibsim.spaces import dist_first_changed, dist_hamming, dist_lp, dist_swap
+from delibsim.spaces import dist_lp
 
 from helpers import (
     bfs_swap_distance,
@@ -124,6 +132,14 @@ def test_validate_point_committee():
     assert validate_point(space, Point.of_bits("0111")) is not None
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_point_rejects_non_finite_coordinates(bad):
+    for space in (euclidean(Metric.L2, 2), euclidean(Metric.L1, 2, lattice=True)):
+        assert "not finite" in validate_point(space, Point.reals((1.0, bad)))
+        with pytest.raises(InvalidPointError):
+            point_from_json(space, [1.0, bad])
+
+
 def test_validate_point_ranking_permutation():
     space = ranking_space(Metric.SWAP, 3)
     assert validate_point(space, Point.of_ranking((2, 0, 1))) is None
@@ -166,12 +182,29 @@ def test_swap_hand_values():
     assert dist(space, Point.of_ranking((0, 1, 2)), Point.of_ranking((2, 1, 0))) == 3
 
 
-def test_dist_validates_inputs():
-    space = euclidean(Metric.L2, 2)
-    with pytest.raises(InvalidPointError):
-        dist(space, Point.reals((1.0,)), Point.reals((1.0, 2.0)))
-    with pytest.raises(InvalidPointError):
-        dist_hamming(binary(Metric.HAMMING, 3), Point.of_bits("012"), Point.of_bits("000"))
+def test_malformed_points_are_rejected_where_they_enter():
+    # one coordinate in a plane, and a ballot with a 2 in it
+    plane, ballots = euclidean(Metric.L2, 2), binary(Metric.HAMMING, 3)
+    cases = (
+        (plane, VotingRule.MEAN, Point.reals((1.0,)), Point.reals((1.0, 2.0))),
+        (ballots, VotingRule.MAJORITY, Point.of_bits("012"), Point.of_bits("010")),
+    )
+    for space, rule, bad, good in cases:
+        with pytest.raises(InvalidPointError):
+            Profile(space, (good, bad))
+        with pytest.raises(InvalidPointError):
+            point_from_json(space, list(bad.values))
+        with pytest.raises(InvalidPointError):
+            EngineConfig(
+                space,
+                RuleSpec(rule),
+                PolicySpec(kind=PolicyKind.SCRIPTED, script=((good,), (bad,))),
+            )
+        # a mover that proposes the bad point, for step's referee to judge
+        mover = MovePolicy(space, PolicySpec())
+        mover.move = lambda *move_args: bad
+        with pytest.raises(InvalidPointError):
+            step(Profile(space, (good,)), EngineConfig(space, RuleSpec(rule)), policy=mover)
 
 
 def test_dist_dispatch_matches_direct():
