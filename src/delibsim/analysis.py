@@ -27,10 +27,10 @@ from .rules import (
     Profile,
     RuleSpec,
     VotingRule,
-    _tiebreak_positions,
     candidate_scores,
     scoring_ranking,
     stv_rounds,
+    tiebreak_positions,
     winner,
 )
 from .spaces import EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec, dist
@@ -103,7 +103,7 @@ def potential_scoring(
     m = profile.spec.num_candidates
     scores = candidate_scores(profile, kind)
     borda = candidate_scores(profile, VotingRule.BORDA)
-    priority = [m - 1 - pos for pos in _tiebreak_positions(m, order)]
+    priority = [m - 1 - pos for pos in tiebreak_positions(m, order)]
     w = scoring_ranking(profile, kind, order)
     return PotentialVector(
         tuple((scores[c], priority[c], borda[c]) for c in w.ranking)
@@ -120,7 +120,7 @@ def potential_stv(profile: Profile, order: Sequence[int]) -> PotentialVector:
     """
     m = profile.spec.num_candidates
     borda = candidate_scores(profile, VotingRule.BORDA)
-    priority = [m - 1 - pos for pos in _tiebreak_positions(m, order)]
+    priority = [m - 1 - pos for pos in tiebreak_positions(m, order)]
     rounds = stv_rounds(profile, order)
     return PotentialVector(
         tuple((count, priority[c], borda[c]) for c, count in rounds)

@@ -15,12 +15,16 @@ bit:
 * everything else (differences, scaling, clipping, comparisons, maxima,
   medians, counts) is exact elementwise work that numpy does in one pass.
 
-Which configurations take this path is decided in ``engine.run``.
+Which configurations take this path is decided in ``engine.run``.  The
+trace writer reads states through ``to_json`` (ballots) and ``StateJson``
+(real vectors), which give the bytes ``json.dumps`` gives.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -52,11 +56,53 @@ def points(state: np.ndarray) -> tuple[Point, ...]:
 
 
 def to_json(state: np.ndarray) -> list:
-    """Each row as ``point_to_json`` writes it: a number array or a 0/1 string."""
-    if state.dtype == _BALLOT:
-        m = state.shape[1]
-        return (state + ord("0")).view(f"S{m}").ravel().astype(f"U{m}").tolist()
-    return state.tolist()
+    """Each ballot row as ``point_to_json`` writes it: a 0/1 string."""
+    m = state.shape[1]
+    return (state + ord("0")).view(f"S{m}").ravel().astype(f"U{m}").tolist()
+
+
+def _texts(bits: np.ndarray) -> np.ndarray:
+    """The ``json.dumps`` text of each float64 bit pattern in ``bits`` (1-D int64).
+
+    Each distinct pattern is formatted once.  Patterns, not values, are the
+    key, so ``-0.0`` and ``0.0`` keep their own texts.
+    """
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse]
+
+
+def floats_json(values) -> str:
+    """``json.dumps`` of a sequence of floats."""
+    bits = np.array(values, dtype=np.float64).view(np.int64)
+    return "[" + ", ".join(_texts(bits).tolist()) + "]"
+
+
+class StateJson:
+    """``json.dumps`` of successive float64 states of one run, one at a time.
+
+    Only the previous state's bit patterns and entry texts are kept.  An
+    entry whose bit pattern equals the previous state's entry reuses its
+    text; the others go through ``_texts``.  Between iterations most
+    entries stay put, so most are never formatted again.
+    """
+
+    def __init__(self) -> None:
+        self._bits: Optional[np.ndarray] = None
+        self._texts: Optional[np.ndarray] = None
+
+    def __call__(self, state: np.ndarray) -> str:
+        bits = np.ascontiguousarray(state, dtype=np.float64).reshape(-1).view(np.int64)
+        if self._bits is None or self._bits.shape != bits.shape:
+            texts = _texts(bits)
+        else:
+            texts = self._texts.copy()
+            fresh = np.flatnonzero(bits != self._bits)
+            if len(fresh):
+                texts[fresh] = _texts(bits[fresh])
+        self._bits, self._texts = bits, texts
+        rows = texts.reshape(state.shape).tolist()
+        return "[[" + "], [".join(map(", ".join, rows)) + "]]"
 
 
 def _sums(rows: np.ndarray) -> np.ndarray:

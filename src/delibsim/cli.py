@@ -33,7 +33,7 @@ from .profiles import (
     write_trace_jsonl,
 )
 from .replays import DEFAULT_ESCAPE_ITERATIONS, REPLAY_NAMES, replay
-from .rules import _NEEDS_TIEBREAK, Profile, RuleSpec, VotingRule
+from .rules import NEEDS_TIEBREAK, Profile, RuleSpec, VotingRule
 from .spaces import Family, Metric, SpaceSpec
 from .verification import CHECK_FIELDS, CHECK_NAMES, run_verification
 
@@ -71,12 +71,15 @@ def _convert(kind, value, what: str):
     """``kind(value)`` for a value read from a config file; a ParseError if it does not fit."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"invalid {what}: {value!r}") from None
 
 
 def _resolve_space(cfg: dict, args: argparse.Namespace) -> Optional[SpaceSpec]:
-    obj = dict(cfg.get("space") or {})
+    obj = cfg.get("space") or {}
+    if not isinstance(obj, dict):
+        raise ParseError(f"a space must be an object, got {type(obj).__name__}")
+    obj = dict(obj)
     if getattr(args, "space", None):
         obj["family"] = args.space
     if getattr(args, "distance", None):
@@ -118,9 +121,9 @@ def _resolve_rule(cfg: dict, args: argparse.Namespace, space: SpaceSpec) -> Rule
     if kind_name is None:
         raise ParseError("no voting rule given (use --rule or the config file)")
     kind = _convert(VotingRule, kind_name, "rule")
-    if tiebreak is None and kind in _NEEDS_TIEBREAK:
+    if tiebreak is None and kind in NEEDS_TIEBREAK:
         tiebreak = tuple(range(_space_size(space)))
-    return RuleSpec(kind, tuple(tiebreak) if tiebreak is not None else None)
+    return RuleSpec(kind, tiebreak)
 
 
 def _resolve_policy(
@@ -198,7 +201,7 @@ def _setup(cfg: dict, args: argparse.Namespace) -> tuple[Profile, EngineConfig, 
                 space,
                 n=_convert(int, n, "n"),
                 seed=seed,
-                euclidean_box=tuple(tuple(r) for r in box) if box else None,
+                euclidean_box=box or None,
             )
         )
     rule = _resolve_rule(cfg, args, space)

@@ -221,12 +221,23 @@ def _state_is_consensus(state, config: EngineConfig) -> bool:
 
 
 def _referee(
-    config: EngineConfig, agent: int, iteration: int, before: Point, after: Point, w: Point
+    config: EngineConfig,
+    agent: int,
+    iteration: int,
+    before: Point,
+    after: Point,
+    w: Point,
+    validated: bool = False,
 ) -> None:
-    """Raise unless one agent's new point is in the space and its move is legal."""
-    violation = validate_point(config.space, after)
-    if violation is not None:
-        raise InvalidPointError(violation)
+    """Raise unless one agent's new point is in the space and its move is legal.
+
+    ``validated`` skips the point check for a point already checked where it
+    entered.
+    """
+    if not validated:
+        violation = validate_point(config.space, after)
+        if violation is not None:
+            raise InvalidPointError(violation)
     violation = check_constraints(
         config.space, before, after, w, config.epsilon, config.policy.constraint_mode
     )
@@ -248,13 +259,20 @@ def step(
     """One synchronized iteration; returns the next profile and this state's record."""
     space = config.space
     mover = policy if policy is not None else MovePolicy(space, config.policy)
+    # the config's own scripted policy proposes script points, which
+    # EngineConfig has validated
+    scripted = (
+        type(mover) is MovePolicy
+        and mover.spec is config.policy
+        and config.policy.kind is PolicyKind.SCRIPTED
+    )
     w = rules_mod.winner(config.rule, profile)
     distances = tuple(dist(space, p, w) for p in profile.points)
     next_points = []
     moved = []
     for i, p in enumerate(profile.points):
         p_next = mover.move(p, w, config.epsilon, iteration, i)
-        _referee(config, i, iteration, p, p_next, w)
+        _referee(config, i, iteration, p, p_next, w, validated=scripted)
         next_points.append(p_next)
         moved.append(not points_equal(space, p, p_next))
     record = IterationRecord(
@@ -264,7 +282,8 @@ def step(
         distances=distances,
         moved=tuple(moved),
     )
-    return Profile(space, tuple(next_points)), record
+    # every new point is validated: by the referee or, if scripted, by EngineConfig
+    return Profile.of_checked(space, tuple(next_points)), record
 
 
 def _takes_array_path(config: EngineConfig) -> bool:

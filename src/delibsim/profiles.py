@@ -56,7 +56,10 @@ class GeneratorSpec:
         if self.euclidean_box is not None:
             if self.space.family is not Family.EUCLIDEAN:
                 raise ConfigurationError("a sampling box only applies to real vectors")
-            box = tuple((float(lo), float(hi)) for lo, hi in self.euclidean_box)
+            try:
+                box = tuple((float(lo), float(hi)) for lo, hi in self.euclidean_box)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError("a box must list (low, high) number pairs") from None
             if len(box) != self.space.dimension:
                 raise ConfigurationError(
                     f"box has {len(box)} ranges for dimension {self.space.dimension}"
@@ -214,24 +217,34 @@ def save_script(
 def write_trace_jsonl(report: RunReport, space: SpaceSpec, out: Union[str, IO[str]]) -> None:
     """One JSON object per observed state, in order.
 
-    Array-backed states are written straight from their arrays, with the
-    same bytes ``point_to_json`` gives for the points they stand for.
+    Each line holds the bytes ``json.dumps`` gives for the record's
+    ``index``, ``points`` (as ``point_to_json`` writes them), ``winner``,
+    ``distances`` and ``moved`` (null on a terminal record).  Array-backed
+    states are written straight from their arrays.  For real vectors, a
+    coordinate whose float64 bit pattern equals the same entry of the
+    previous state reuses that entry's text; only the previous state's texts
+    are kept, and every other bit pattern, distances included, is formatted
+    once per state.
     """
 
     def emit(fh: IO[str]) -> None:
+        state_json = arrays.StateJson()
         for r in report.trace:
-            if r.array is not None:
-                points = arrays.to_json(r.array)
+            if r.array is not None and space.family is Family.EUCLIDEAN:
+                points = state_json(r.array)
+                distances = arrays.floats_json(r.distances)
             else:
-                points = [point_to_json(space, p) for p in r.points]
-            row = {
-                "index": r.index,
-                "points": points,
-                "winner": point_to_json(space, r.winner),
-                "distances": list(r.distances),
-                "moved": list(r.moved) if r.moved is not None else None,
-            }
-            fh.write(json.dumps(row) + "\n")
+                if r.array is not None:
+                    points = json.dumps(arrays.to_json(r.array))
+                else:
+                    points = json.dumps([point_to_json(space, p) for p in r.points])
+                distances = json.dumps(list(r.distances))
+            winner = json.dumps(point_to_json(space, r.winner))
+            moved = json.dumps(list(r.moved) if r.moved is not None else None)
+            fh.write(
+                f'{{"index": {r.index}, "points": {points}, "winner": {winner}, '
+                f'"distances": {distances}, "moved": {moved}}}\n'
+            )
 
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8") as fh:

@@ -56,7 +56,8 @@ _RULE_FAMILY = {
     VotingRule.STV: Family.RANKING,
 }
 
-_NEEDS_TIEBREAK = frozenset(
+#: rules that order candidates by score and so need a tiebreak order
+NEEDS_TIEBREAK = frozenset(
     {
         VotingRule.TOPK_MAJORITY,
         VotingRule.PLURALITY,
@@ -83,6 +84,14 @@ class Profile:
             if violation is not None:
                 raise InvalidPointError(f"agent {i}: {violation}")
 
+    @classmethod
+    def of_checked(cls, spec: SpaceSpec, points: tuple[Point, ...]) -> "Profile":
+        """A profile of points already validated against ``spec``, not checked again."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "spec", spec)
+        object.__setattr__(profile, "points", points)
+        return profile
+
     @property
     def n(self) -> int:
         return len(self.points)
@@ -97,13 +106,17 @@ class RuleSpec:
 
     def __post_init__(self) -> None:
         if self.tiebreak_order is not None:
-            order = tuple(int(c) for c in self.tiebreak_order)
-            object.__setattr__(self, "tiebreak_order", order)
-            if sorted(order) != list(range(len(order))):
+            order = self.tiebreak_order
+            try:
+                order = None if isinstance(order, str) else tuple(int(c) for c in order)
+            except (TypeError, ValueError):
+                order = None
+            if order is None or sorted(order) != list(range(len(order))):
                 raise ConfigurationError("tiebreak order must be a permutation of 0..m-1")
+            object.__setattr__(self, "tiebreak_order", order)
 
 
-def _tiebreak_positions(m: int, tiebreak: Optional[Sequence[int]]) -> list[int]:
+def tiebreak_positions(m: int, tiebreak: Optional[Sequence[int]]) -> list[int]:
     """Map candidate -> position in the tiebreak order (identity if none given)."""
     if tiebreak is None:
         return list(range(m))
@@ -160,7 +173,7 @@ def topk_majority(profile: Profile, k: int, tiebreak: Optional[Sequence[int]] = 
     m = len(profile.points[0].bits)
     if not 1 <= k <= m:
         raise ConfigurationError(f"committee size {k} out of range for {m} candidates")
-    tpos = _tiebreak_positions(m, tiebreak)
+    tpos = tiebreak_positions(m, tiebreak)
     approvals = [0] * m
     for p in profile.points:
         for c, b in enumerate(p.bits):
@@ -195,7 +208,7 @@ def kemeny_ranking(profile: Profile, tiebreak: Optional[Sequence[int]] = None) -
         raise UnsupportedSizeError(
             f"exhaustive search over {m}! rankings refused (limit {KEMENY_MAX_CANDIDATES})"
         )
-    tpos = _tiebreak_positions(m, tiebreak)
+    tpos = tiebreak_positions(m, tiebreak)
     prefers = _pairwise_preference(profile)
     best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
     for perm in itertools.permutations(range(m)):
@@ -244,7 +257,7 @@ def scoring_ranking(profile: Profile, kind: VotingRule, tiebreak: Sequence[int])
     if tiebreak is None:
         raise ConfigurationError("scoring rules need a tiebreak order")
     m = profile.spec.num_candidates
-    tpos = _tiebreak_positions(m, tiebreak)
+    tpos = tiebreak_positions(m, tiebreak)
     scores = candidate_scores(profile, kind)
     order = sorted(range(m), key=lambda c: (-scores[c], tpos[c]))
     return Point.of_ranking(order)
@@ -261,7 +274,7 @@ def stv_rounds(profile: Profile, tiebreak: Sequence[int]) -> list[tuple[int, int
     if tiebreak is None:
         raise ConfigurationError("stv needs a tiebreak order")
     m = profile.spec.num_candidates
-    tpos = _tiebreak_positions(m, tiebreak)
+    tpos = tiebreak_positions(m, tiebreak)
     ballots = [list(p.ranking) for p in profile.points]
     remaining = set(range(m))
     rounds: list[tuple[int, int]] = []
@@ -302,7 +315,7 @@ def require_compatible(rule: RuleSpec, space: SpaceSpec) -> None:
             f"rule {rule.rule.value} needs a {expected.value} space, got {space.family.value}"
         )
     order = rule.tiebreak_order
-    if order is None and rule.rule in _NEEDS_TIEBREAK:
+    if order is None and rule.rule in NEEDS_TIEBREAK:
         raise ConfigurationError(f"rule {rule.rule.value} needs a tiebreak order")
     m = space.num_candidates
     if order is not None and m is not None and len(order) != m:

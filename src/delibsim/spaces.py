@@ -262,24 +262,29 @@ def point_to_json(space: SpaceSpec, point: Point):
 
 def point_from_json(space: SpaceSpec, obj) -> Point:
     """Parse a point literal; raises InvalidPointError if it does not fit the space."""
-    if space.family is Family.EUCLIDEAN:
-        if not isinstance(obj, Sequence) or isinstance(obj, str):
-            raise InvalidPointError(f"expected a coordinate array, got {obj!r}")
-        point = Point.reals(float(x) for x in obj)
-    elif space.family is Family.BINARY:
-        if isinstance(obj, str):
-            if not set(obj) <= {"0", "1"}:
-                raise InvalidPointError(f"ballot string must be 0/1 only, got {obj!r}")
-            point = Point.of_bits(obj)
-        elif isinstance(obj, Sequence):
-            point = Point.of_bits(int(x) for x in obj)
-        else:
-            raise InvalidPointError(f"expected a 0/1 string, got {obj!r}")
-    else:
-        if not isinstance(obj, Sequence) or isinstance(obj, str):
-            raise InvalidPointError(f"expected a candidate index array, got {obj!r}")
-        point = Point.of_ranking(int(x) for x in obj)
+    try:
+        point = _point_from_literal(space, obj)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidPointError(f"not a {space.family.value} point: {obj!r}") from None
     violation = validate_point(space, point)
     if violation is not None:
         raise InvalidPointError(violation)
     return point
+
+
+def _point_from_literal(space: SpaceSpec, obj) -> Point:
+    if space.family is Family.EUCLIDEAN:
+        if not isinstance(obj, Sequence) or isinstance(obj, str):
+            raise InvalidPointError(f"expected a coordinate array, got {obj!r}")
+        return Point.reals(float(x) for x in obj)
+    if space.family is Family.BINARY:
+        if isinstance(obj, str):
+            if not set(obj) <= {"0", "1"}:
+                raise InvalidPointError(f"ballot string must be 0/1 only, got {obj!r}")
+            return Point.of_bits(obj)
+        if isinstance(obj, Sequence):
+            return Point.of_bits(int(x) for x in obj)
+        raise InvalidPointError(f"expected a 0/1 string, got {obj!r}")
+    if not isinstance(obj, Sequence) or isinstance(obj, str):
+        raise InvalidPointError(f"expected a candidate index array, got {obj!r}")
+    return Point.of_ranking(int(x) for x in obj)

@@ -7,6 +7,7 @@ functions guard the real implementations against drift.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 
@@ -21,6 +22,7 @@ from delibsim import (
     SpaceSpec,
     dist,
     is_consensus,
+    point_to_json,
     step,
     winner,
 )
@@ -190,3 +192,20 @@ def reference_run(initial, config):
         cycle_first_index=first,
         growth_detected=growth,
     )
+
+
+def reference_jsonl(report, space) -> str:
+    """The JSONL trace of ``report``: each record serialized on its own with
+    ``json.dumps``, its points read through ``record.points`` and
+    ``point_to_json``, as the trace format defines it."""
+    lines = []
+    for r in report.trace:
+        row = {
+            "index": r.index,
+            "points": [point_to_json(space, p) for p in r.points],
+            "winner": point_to_json(space, r.winner),
+            "distances": list(r.distances),
+            "moved": list(r.moved) if r.moved is not None else None,
+        }
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)

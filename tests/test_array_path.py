@@ -38,7 +38,7 @@ from delibsim.engine import check_array_moves
 from delibsim.rules import set_winner_override
 from delibsim.spaces import EUCLIDEAN_EQ_TOL
 
-from helpers import binary, euclidean, reference_run
+from helpers import binary, euclidean, reference_jsonl, reference_run
 
 _MODES = (ConstraintMode.STRICT, ConstraintMode.APPROACH_ONLY)
 
@@ -140,6 +140,16 @@ def test_array_path_matches_the_per_agent_reference(seed):
         assert g.moved == w.moved
     if exact:
         assert _jsonl(got, config.space) == _jsonl(want, config.space)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_trace_jsonl_matches_the_reference_writer(seed):
+    profile, config, _ = _random_case(seed)
+    report, error = _outcome(profile, config, run)
+    if report is None:
+        return
+    got = _jsonl(report, config.space).splitlines()
+    assert got == reference_jsonl(report, config.space).splitlines()
 
 
 def test_record_points_are_built_on_each_read():

@@ -267,8 +267,18 @@ _RUN_CFG = {
         ("run", {**_RUN_CFG, "space": {**_RUN_CFG["space"], "dimension": "2"}}, []),
         ("run", _RUN_CFG, ["--profile", "missing.json"]),
         ("batch", {"seeds": ["x"], "configurations": [_RUN_CFG]}, []),
+        ("run", {**_RUN_CFG, "profile": {"space": _RUN_CFG["space"], "points": [["x"]]}}, []),
+        ("run", {**_RUN_CFG, "space": {"family": "ranking", "distance": "swap",
+                                       "num_candidates": 3},
+                 "rule": {"rule": "borda", "tiebreak_order": "abc"}}, []),
+        ("run", {**_RUN_CFG, "box": 5}, []),
+        ("run", {**_RUN_CFG, "space": "ranking"}, []),
+        ("run", {**_RUN_CFG, "seed": float("inf")}, []),
+        ("run", {**_RUN_CFG, "epsilon": 10**400}, []),
     ],
-    ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed"],
+    ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed",
+         "point-literal", "tiebreak-order", "box", "space-not-object", "seed-inf",
+         "epsilon-overflow"],
 )
 def test_bad_input_prints_an_error_line(tmp_path, monkeypatch, capsys, command, cfg, flags):
     monkeypatch.chdir(tmp_path)

@@ -23,6 +23,7 @@ from delibsim import (
     run,
     step,
 )
+from delibsim import engine, rules
 from delibsim.rules import set_winner_override
 
 from helpers import binary, euclidean, ranking_space
@@ -170,6 +171,30 @@ def test_step_scripted_violation_names_agent_and_iteration():
     assert info.value.agent == 0
     assert info.value.iteration == 1
     assert "agent 0" in str(info.value)
+
+
+def test_step_validates_each_new_point_once(monkeypatch):
+    checked = []
+
+    def counting(space, point):
+        checked.append(point)
+        return None
+
+    space = binary(Metric.HAMMING, 4)
+    profile = Profile(space, tuple(Point.of_bits(b) for b in ("0000", "1111", "1100")))
+    script = (profile.points, tuple(Point.of_bits(b) for b in ("1000", "1101", "1100")))
+    monkeypatch.setattr(engine, "validate_point", counting)
+    monkeypatch.setattr(rules, "validate_point", counting)
+    seeded = PolicySpec(kind=PolicyKind.SEEDED_RANDOM, seed=1)
+    after, _ = step(profile, EngineConfig(space, RuleSpec(VotingRule.MAJORITY), seeded))
+    assert checked == list(after.points)  # by the referee, not again by the next Profile
+    config = EngineConfig(
+        space, RuleSpec(VotingRule.MAJORITY), PolicySpec(kind=PolicyKind.SCRIPTED, script=script)
+    )
+    checked.clear()
+    after, _ = step(profile, config)
+    assert after.points == script[1]
+    assert checked == []  # script points were validated by EngineConfig
 
 
 # --- full runs ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from delibsim import (
@@ -12,6 +14,7 @@ from delibsim import (
     EngineConfig,
     Family,
     GeneratorSpec,
+    IterationRecord,
     Metric,
     Outcome,
     ParseError,
@@ -19,6 +22,7 @@ from delibsim import (
     PolicySpec,
     Profile,
     RuleSpec,
+    RunReport,
     VotingRule,
     dist,
     generate,
@@ -42,7 +46,7 @@ from delibsim.profiles import (
 )
 from delibsim.rules import bitwise_majority
 
-from helpers import binary, euclidean, ranking_space
+from helpers import binary, euclidean, ranking_space, reference_jsonl
 
 APPROACH = PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY)
 
@@ -236,6 +240,32 @@ def test_write_trace_jsonl_cap_terminal_record_has_no_move_data():
     last = json.loads(buf.getvalue().splitlines()[-1])
     assert last["moved"] is None
     assert "checks" not in last
+
+
+def test_write_trace_jsonl_keeps_each_bit_pattern_of_array_states():
+    space = euclidean(Metric.L1, 2)
+    states = (
+        # -0.0 and 0.0 in one column; 1.5 repeated across agents
+        [[-0.0, 1.5], [0.0, 1.5], [2.0, 1.5]],
+        # the first column flips between 0.0 and -0.0
+        [[0.0, 1.5], [-0.0, 1.5], [2.0, 0.25]],
+        [[-0.0, 1.5], [-0.0, 1.5], [2.0, 0.25]],
+    )
+    distances = ((0.0, -0.0, 2.0), (-0.0, 0.0, 0.1 + 0.2), (0.0, 1e-300, math.inf))
+    moved = ((True, True, True), (True, False, False), None)  # CAP terminal record last
+    trace = tuple(
+        IterationRecord(j, np.array(state), Point.reals((0.0, 1.5)), d, m)
+        for j, (state, d, m) in enumerate(zip(states, distances, moved))
+    )
+    report = RunReport(Outcome.CAP_REACHED, None, 2, 3, trace, growth_detected=False)
+    buf = io.StringIO()
+    write_trace_jsonl(report, space, buf)
+    text = buf.getvalue()
+    assert text == reference_jsonl(report, space)
+    lines = text.splitlines()
+    assert '"points": [[0.0, 1.5], [-0.0, 1.5], [2.0, 0.25]]' in lines[1]
+    assert '"distances": [-0.0, 0.0, 0.30000000000000004]' in lines[1]
+    assert lines[2].endswith('"distances": [0.0, 1e-300, Infinity], "moved": null}')
 
 
 def test_summary_row_and_csv():
