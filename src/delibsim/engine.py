@@ -28,9 +28,12 @@ must pass ``check_constraints``; a move that fails raises.
   Records keep the state array and build ``points`` anew on each access;
 * the per-agent path, ``step``, for everything else: scripted and
   seeded-random policies, committee ballots, rankings, the
-  deepest-disagreement metric, and any run while a winner override is
-  installed.  ``step`` is also the reference the array path is tested
-  against.
+  deepest-disagreement metric, and any run given a winner function.
+  ``step`` is also the reference the array path is tested against.
+
+Each state's winner and distances are computed once: the referee judges
+each move against the recorded distance, and the default budget is sized
+from the first state's.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -65,6 +68,9 @@ DEFAULT_MAX_ITERS = 10_000
 #: constant of ``analysis.iteration_bound``'s CAP predictions
 CAP_MULTIPLIER = 10
 DEFAULT_GROWTH_WINDOW = 50
+
+#: picks a profile's winner under a rule; ``rules.winner`` unless a run is given another
+WinnerFn = Callable[[RuleSpec, Profile], Point]
 
 _LATTICE_RULES = frozenset({VotingRule.FLOOR_MEAN, VotingRule.MEDIAN})
 
@@ -227,19 +233,21 @@ def _referee(
     before: Point,
     after: Point,
     w: Point,
+    d_before: float,
     validated: bool = False,
 ) -> None:
     """Raise unless one agent's new point is in the space and its move is legal.
 
-    ``validated`` skips the point check for a point already checked where it
-    entered.
+    ``d_before`` is the agent's recorded distance to ``w``.  ``validated``
+    skips the point check for a point already checked where it entered.
     """
     if not validated:
         violation = validate_point(config.space, after)
         if violation is not None:
             raise InvalidPointError(violation)
     violation = check_constraints(
-        config.space, before, after, w, config.epsilon, config.policy.constraint_mode
+        config.space, before, after, w, config.epsilon, config.policy.constraint_mode,
+        d_before=d_before,
     )
     if violation is not None:
         raise ConstraintViolationError(
@@ -255,8 +263,12 @@ def step(
     *,
     policy: Optional[MovePolicy] = None,
     iteration: int = 0,
+    winner: Optional[WinnerFn] = None,
 ) -> tuple[Profile, IterationRecord]:
-    """One synchronized iteration; returns the next profile and this state's record."""
+    """One synchronized iteration; returns the next profile and this state's record.
+
+    ``winner`` picks the winner, ``rules.winner`` when None.
+    """
     space = config.space
     mover = policy if policy is not None else MovePolicy(space, config.policy)
     # the config's own scripted policy proposes script points, which
@@ -266,13 +278,13 @@ def step(
         and mover.spec is config.policy
         and config.policy.kind is PolicyKind.SCRIPTED
     )
-    w = rules_mod.winner(config.rule, profile)
+    w = (winner or rules_mod.winner)(config.rule, profile)
     distances = tuple(dist(space, p, w) for p in profile.points)
     next_points = []
     moved = []
     for i, p in enumerate(profile.points):
         p_next = mover.move(p, w, config.epsilon, iteration, i)
-        _referee(config, i, iteration, p, p_next, w, validated=scripted)
+        _referee(config, i, iteration, p, p_next, w, distances[i], validated=scripted)
         next_points.append(p_next)
         moved.append(not points_equal(space, p, p_next))
     record = IterationRecord(
@@ -287,9 +299,7 @@ def step(
 
 
 def _takes_array_path(config: EngineConfig) -> bool:
-    # an installed winner override must see every winner call, and only
-    # the per-agent path goes through rules.winner
-    if config.policy.kind is not PolicyKind.DEFAULT or rules_mod._winner_override is not None:
+    if config.policy.kind is not PolicyKind.DEFAULT:
         return False
     if config.space.family is Family.EUCLIDEAN:
         return True
@@ -315,9 +325,8 @@ def check_array_moves(
         config.space, config.policy.constraint_mode, before, after, w, d_before, config.epsilon
     )
     for i in bad.tolist():
-        _referee(
-            config, i, iteration, arrays.point(before[i]), arrays.point(after[i]), arrays.point(w)
-        )
+        before_i, after_i = arrays.point(before[i]), arrays.point(after[i])
+        _referee(config, i, iteration, before_i, after_i, arrays.point(w), d_before[i].item())
 
 
 def _array_step(
@@ -339,26 +348,25 @@ def _array_step(
     return after, record
 
 
-def _winner_and_distances(state, config: EngineConfig) -> tuple[Point, tuple]:
-    """The winner of a profile or state array and every agent's distance to it."""
+def _terminal_record(
+    state, config: EngineConfig, index: int, winner: Optional[WinnerFn]
+) -> IterationRecord:
+    """The record of a last state, which no step ran from: no moves."""
     if isinstance(state, np.ndarray):
         w = arrays.winner(config.rule.rule, state)
-        return arrays.point(w), tuple(arrays.distances(config.space, state, w).tolist())
-    w = rules_mod.winner(config.rule, state)
-    return w, tuple(dist(config.space, p, w) for p in state.points)
+        distances = tuple(arrays.distances(config.space, state, w).tolist())
+        return IterationRecord(index, state, arrays.point(w), distances)
+    w = (winner or rules_mod.winner)(config.rule, state)
+    distances = tuple(dist(config.space, p, w) for p in state.points)
+    return IterationRecord(index, state.points, w, distances)
 
 
-def _terminal_record(state, config: EngineConfig, index: int) -> IterationRecord:
-    points = state if isinstance(state, np.ndarray) else state.points
-    w, distances = _winner_and_distances(state, config)
-    return IterationRecord(index=index, points=points, winner=w, distances=distances)
-
-
-def _default_max_iters(state, config: EngineConfig) -> int:
-    far = max(_winner_and_distances(state, config)[1])
+def _default_max_iters(distances: tuple[float, ...], epsilon: float) -> int:
+    """The budget for a run whose first state has these distances to its winner."""
+    far = max(distances)
     if far <= EUCLIDEAN_EQ_TOL:
         return DEFAULT_MAX_ITERS
-    return max(1, CAP_MULTIPLIER * math.ceil(far / config.epsilon))
+    return max(1, CAP_MULTIPLIER * math.ceil(far / epsilon))
 
 
 def _growth_detected(trace: list[IterationRecord], config: EngineConfig) -> bool:
@@ -372,44 +380,52 @@ def _growth_detected(trace: list[IterationRecord], config: EngineConfig) -> bool
     return all(a < b for a, b in zip(drift, drift[1:]))
 
 
-def run(initial: Profile, config: EngineConfig) -> RunReport:
-    """Iterate from ``initial`` until consensus, a cycle, or the budget cap."""
+def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = None) -> RunReport:
+    """Iterate from ``initial`` until consensus, a cycle, or the budget cap.
+
+    ``winner`` picks each state's winner, ``rules.winner`` when None; a run
+    given one takes the per-agent path, so it sees every state.
+    """
     if initial.spec != config.space:
         raise ConfigurationError("the profile's space differs from the configured space")
     started = time.perf_counter()
-    if _takes_array_path(config):
+    if winner is None and _takes_array_path(config):
         state = arrays.from_profile(initial)
         advance = lambda state, j: _array_step(state, config, j)
     else:
         state = initial
         mover = MovePolicy(config.space, config.policy)
-        advance = lambda state, j: step(state, config, policy=mover, iteration=j)
-    max_iters = config.max_iters or _default_max_iters(state, config)
+        advance = lambda state, j: step(state, config, policy=mover, iteration=j, winner=winner)
+    max_iters = config.max_iters
     trace: list[IterationRecord] = []
     seen = {_state_key(state): 0} if config.cycle_detection else None
     outcome = Outcome.CAP_REACHED
     point = None
     cycle_period = None
     cycle_first = None
-    for j in range(max_iters):
+    j = 0
+    while max_iters is None or j < max_iters:
         next_state, record = advance(state, j)
         trace.append(record)
+        if max_iters is None:
+            max_iters = _default_max_iters(record.distances, config.epsilon)
         if not any(record.moved):
             outcome = Outcome.CONVERGED
             point = record.winner
             break
         state = next_state
+        j += 1
         if seen is not None:
             key = _state_key(state)
             if key in seen:
                 outcome = Outcome.CYCLE
                 cycle_first = seen[key]
-                cycle_period = (j + 1) - cycle_first
-                trace.append(_terminal_record(state, config, j + 1))
+                cycle_period = j - cycle_first
+                trace.append(_terminal_record(state, config, j, winner))
                 break
-            seen[key] = j + 1
+            seen[key] = j
     else:
-        terminal = _terminal_record(state, config, max_iters)
+        terminal = _terminal_record(state, config, max_iters, winner)
         trace.append(terminal)
         # consensus reached on the budget's last step still counts
         if _state_is_consensus(state, config):

@@ -15,7 +15,8 @@ distance 1 from w, for instance), so runs over that metric use
 Each space has a deterministic default policy; binary and ranking spaces
 also offer seeded-random variants that pick uniformly among the eligible
 minimal edits.  A scripted policy replays an explicit profile sequence and
-is how the known divergence scenarios are driven.
+is how the known divergence scenarios are driven.  No policy judges its own
+moves: the engine's referee checks every move, scripted ones included.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import (
-    ConfigurationError,
-    ConstraintViolationError,
-    InfeasibleStepError,
-)
+from .errors import ConfigurationError, InfeasibleStepError
 from .spaces import (
     EUCLIDEAN_EQ_TOL,
     Family,
@@ -244,14 +241,19 @@ def check_constraints(
     winner: Point,
     epsilon: float,
     mode: ConstraintMode = ConstraintMode.STRICT,
+    *,
+    d_before: Optional[float] = None,
 ) -> Optional[str]:
     """Return None if the move obeys the active laws, else a description.
 
     Never raises for a bad move; the description carries the numbers.
     Real-vector comparisons use EUCLIDEAN_EQ_TOL; discrete ones are exact.
+    ``d_before`` is d(before, winner) when the caller already has it; None
+    computes it here.
     """
     tol = EUCLIDEAN_EQ_TOL if space.family is Family.EUCLIDEAN else 0
-    d_before = dist(space, before, winner)
+    if d_before is None:
+        d_before = dist(space, before, winner)
     d_after = dist(space, after, winner)
     target = max(0.0, d_before - epsilon)
     if mode is ConstraintMode.APPROACH_ONLY:
@@ -297,7 +299,7 @@ class MovePolicy:
 
     def move(self, v: Point, w: Point, epsilon: float, iteration: int, agent: int) -> Point:
         if self.spec.kind is PolicyKind.SCRIPTED:
-            return self._scripted(v, w, epsilon, iteration, agent)
+            return self._scripted(iteration, agent)
         space = self.space
         rng = self._rng(iteration, agent)
         if space.distance is Metric.FIRST_CHANGED:
@@ -312,20 +314,11 @@ class MovePolicy:
             return move_hamming(space, v, w, epsilon, rng)
         return move_swap(space, v, w, epsilon, rng)
 
-    def _scripted(self, v: Point, w: Point, epsilon: float, iteration: int, agent: int) -> Point:
+    def _scripted(self, iteration: int, agent: int) -> Point:
+        """The script's next point for ``agent``; the engine's referee judges the move."""
         script = self.spec.script
         if iteration + 1 >= len(script):
             raise ConfigurationError(
                 f"script provides {len(script)} profiles, iteration {iteration} needs one more"
             )
-        target = script[iteration + 1][agent]
-        violation = check_constraints(
-            self.space, v, target, w, epsilon, self.spec.constraint_mode
-        )
-        if violation is not None:
-            raise ConstraintViolationError(
-                f"scripted move for agent {agent} at iteration {iteration}: {violation}",
-                agent=agent,
-                iteration=iteration,
-            )
-        return target
+        return script[iteration + 1][agent]

@@ -61,9 +61,11 @@ def run_example1() -> tuple[RunReport, EngineConfig]:
 
 
 def example3_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
+    # a count below 1 keeps the starting profile, so the run reports the budget
+
     return tuple(
         tuple(Point.reals(c + j for c in base) for base in EXAMPLE3_START)
-        for j in range(iterations + 1)
+        for j in range(max(iterations, 0) + 1)
     )
 
 
@@ -168,12 +170,8 @@ def _replay_escape(name: str, rule: VotingRule, iterations: int) -> ReplayResult
         failures.append(f"expected a capped run, got {report.outcome.value}")
     if not report.growth_detected:
         failures.append("expected the growth heuristic to fire")
-    shown = [0, 1, 2, iterations]
-    lines = [
-        f"iteration {j}: winner {tuple(report.trace[j].winner.real_vector)}"
-        for j in shown
-        if j < len(report.trace)
-    ]
+    shown = sorted(j for j in {0, 1, 2, iterations} if j < len(report.trace))
+    lines = [f"iteration {j}: winner {tuple(report.trace[j].winner.real_vector)}" for j in shown]
     lines.append(
         f"outcome: {report.outcome.value} after {iterations} iterations, "
         f"growth_detected={report.growth_detected}"

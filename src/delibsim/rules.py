@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError, InvalidPointError, UnsupportedSizeError
 from .spaces import Family, Point, SpaceSpec, validate_point
@@ -297,16 +297,6 @@ def stv_ranking(profile: Profile, tiebreak: Sequence[int]) -> Point:
     return Point.of_ranking(ranking)
 
 
-# Test hook: replaces the dispatcher below when set.  Used to prove that the
-# downstream verification harness notices a broken rule.
-_winner_override: Optional[Callable[[RuleSpec, Profile], Point]] = None
-
-
-def set_winner_override(fn: Optional[Callable[[RuleSpec, Profile], Point]]) -> None:
-    global _winner_override
-    _winner_override = fn
-
-
 def require_compatible(rule: RuleSpec, space: SpaceSpec) -> None:
     """Raise ConfigurationError unless ``rule`` can pick winners in ``space``."""
     expected = _RULE_FAMILY[rule.rule]
@@ -328,8 +318,6 @@ def require_compatible(rule: RuleSpec, space: SpaceSpec) -> None:
 
 def winner(rule: RuleSpec, profile: Profile) -> Point:
     """Apply a rule to a profile after checking the pairing makes sense."""
-    if _winner_override is not None:
-        return _winner_override(rule, profile)
     require_compatible(rule, profile.spec)
     if rule.rule is VotingRule.MEAN:
         return mean_elementwise(profile)

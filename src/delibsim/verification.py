@@ -7,7 +7,9 @@ final-point ball containment, potential monotonicity for the ordinal
 rules, full-length timing under the deepest-disagreement metric, and
 exhaustive-oracle agreement for the minimal-total-swap rule.  The
 ``corrupt`` flag deliberately breaks one rule to prove the harness reports
-failures.
+failures: every run and the oracle comparison then take a winner function
+that swaps the top two of each Kemeny ranking, while the predictions keep
+using the honest rule.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .analysis import (
     sum_distance_to_winner,
     winner_stability,
 )
-from .engine import EngineConfig, Outcome, run
+from .engine import EngineConfig, Outcome, WinnerFn, run
 from .errors import ConfigurationError
 from .policies import ConstraintMode, PolicySpec
 from .profiles import GeneratorSpec, generate, worst_case_swf, worst_case_vnw
@@ -108,13 +110,13 @@ _EXACT_CASES: dict[str, Callable] = {
 }
 
 
-def _check_exact_count(seed: int) -> list[CheckRow]:
+def _check_exact_count(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     for name, build in _EXACT_CASES.items():
         space, rule, profile, epsilon, policy = build(seed)
         bound = iteration_bound(space, rule, profile, epsilon)
         config = EngineConfig(space, rule, policy, epsilon=epsilon)
-        report = run(profile, config)
+        report = run(profile, config, winner)
         ok = (
             report.outcome is Outcome.CONVERGED
             and winner_stability(report.trace)
@@ -134,7 +136,7 @@ def _check_exact_count(seed: int) -> list[CheckRow]:
     return rows
 
 
-def _check_mean(seed: int) -> list[CheckRow]:
+def _check_mean(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     for name, metric in (("mean-l1", Metric.L1), ("mean-l2", Metric.L2)):
         space, rule, profile, epsilon, policy = _euclidean_case(
@@ -142,7 +144,7 @@ def _check_mean(seed: int) -> list[CheckRow]:
         )
         bound = iteration_bound(space, rule, profile, epsilon)
         config = EngineConfig(space, rule, policy, epsilon=epsilon)
-        report = run(profile, config)
+        report = run(profile, config, winner)
         sums = [
             sum_distance_to_winner(Profile(space, r.points), r.winner)
             for r in report.trace
@@ -179,7 +181,7 @@ _POTENTIAL_RULES = (
 )
 
 
-def _check_potential(seed: int) -> list[CheckRow]:
+def _check_potential(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     m = 3 + seed % 3
     n = 2 + (seed * 3) % 6
     order = _identity(m)
@@ -190,7 +192,7 @@ def _check_potential(seed: int) -> list[CheckRow]:
         config = EngineConfig(
             space, RuleSpec(kind, order), PolicySpec(), epsilon=1.0, max_iters=2000
         )
-        report = run(profile, config)
+        report = run(profile, config, winner)
         if kind is VotingRule.STV:
             vectors = [potential_stv(Profile(space, r.points), order) for r in report.trace]
             expected = Comparison.LESS
@@ -237,7 +239,7 @@ def swf_timing_parameters(seed: int) -> tuple[int, int, VotingRule]:
     return m, epsilon, _SWF_TIMING_RULES[seed % len(_SWF_TIMING_RULES)]
 
 
-def _check_first_changed(seed: int) -> list[CheckRow]:
+def _check_first_changed(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     relaxed = PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY)
 
@@ -248,7 +250,7 @@ def _check_first_changed(seed: int) -> list[CheckRow]:
     config = EngineConfig(
         profile.spec, RuleSpec(VotingRule.MAJORITY), relaxed, epsilon=float(epsilon)
     )
-    report = run(profile, config)
+    report = run(profile, config, winner)
     predicted = math.ceil(m / epsilon)
     ok = report.outcome is Outcome.CONVERGED and report.moving_iterations == predicted
     rows.append(
@@ -267,7 +269,7 @@ def _check_first_changed(seed: int) -> list[CheckRow]:
     config = EngineConfig(
         profile.spec, RuleSpec(kind, _identity(m)), relaxed, epsilon=float(epsilon)
     )
-    report = run(profile, config)
+    report = run(profile, config, winner)
     predicted = math.ceil(m / epsilon)
     ok = report.outcome is Outcome.CONVERGED and report.moving_iterations == predicted
     rows.append(
@@ -283,13 +285,13 @@ def _check_first_changed(seed: int) -> list[CheckRow]:
     return rows
 
 
-def _check_kemeny_oracle(seed: int) -> list[CheckRow]:
+def _check_kemeny_oracle(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     m = 3 + seed % 3
     n = 1 + (seed * 5) % 7
     space = SpaceSpec(Family.RANKING, Metric.SWAP, num_candidates=m)
     profile = generate(GeneratorSpec(space, n=n, seed=seed * 31 + 8))
     order = _identity(m)
-    fast = rules_mod.winner(RuleSpec(VotingRule.KEMENY, order), profile)
+    fast = (winner or rules_mod.winner)(RuleSpec(VotingRule.KEMENY, order), profile)
     slow = kemeny_bruteforce(profile, order)
     ok = fast.ranking == slow.ranking
     return [
@@ -304,7 +306,7 @@ def _check_kemeny_oracle(seed: int) -> list[CheckRow]:
     ]
 
 
-_CHECK_RUNNERS: dict[str, Callable[[int], list[CheckRow]]] = {
+_CHECK_RUNNERS: dict[str, Callable[[int, Optional[WinnerFn]], list[CheckRow]]] = {
     "exact-count": _check_exact_count,
     "mean-convergence": _check_mean,
     "potential": _check_potential,
@@ -313,13 +315,9 @@ _CHECK_RUNNERS: dict[str, Callable[[int], list[CheckRow]]] = {
 }
 
 
-def _corrupting_override(rule: RuleSpec, profile: Profile) -> Point:
-    # recompute honestly with the hook lifted, then break the kemeny result
-    rules_mod.set_winner_override(None)
-    try:
-        honest = rules_mod.winner(rule, profile)
-    finally:
-        rules_mod.set_winner_override(_corrupting_override)
+def _corrupted_winner(rule: RuleSpec, profile: Profile) -> Point:
+    """``rules.winner`` with the top two of every Kemeny ranking swapped."""
+    honest = rules_mod.winner(rule, profile)
     if rule.rule is VotingRule.KEMENY and len(honest.ranking) >= 2:
         seq = list(honest.ranking)
         seq[0], seq[1] = seq[1], seq[0]
@@ -340,14 +338,11 @@ def run_verification(
             f"unknown checks: {', '.join(sorted(unknown))}; "
             f"available: {', '.join(CHECK_NAMES)}"
         )
-    if corrupt:
-        rules_mod.set_winner_override(_corrupting_override)
-    try:
-        rows = []
-        for name in names:
-            for seed in seeds:
-                rows.extend(_CHECK_RUNNERS[name](seed))
-        return rows
-    finally:
-        if corrupt:
-            rules_mod.set_winner_override(None)
+    if not seeds:
+        raise ConfigurationError("verification needs at least one seed")
+    winner = _corrupted_winner if corrupt else None
+    rows = []
+    for name in names:
+        for seed in seeds:
+            rows.extend(_CHECK_RUNNERS[name](seed, winner))
+    return rows

@@ -35,7 +35,6 @@ from delibsim import (
 )
 from delibsim import arrays
 from delibsim.engine import check_array_moves
-from delibsim.rules import set_winner_override
 from delibsim.spaces import EUCLIDEAN_EQ_TOL
 
 from helpers import binary, euclidean, reference_jsonl, reference_run
@@ -173,11 +172,7 @@ def test_other_configs_and_overrides_take_the_per_agent_path():
         PolicySpec(kind=PolicyKind.SEEDED_RANDOM, seed=3),
     )
     assert run(profile, seeded).trace[0].array is None
-    try:
-        set_winner_override(lambda rule, prof: Point.of_bits("111"))
-        report = run(profile, majority)
-    finally:
-        set_winner_override(None)
+    report = run(profile, majority, winner=lambda rule, prof: Point.of_bits("111"))
     assert report.trace[0].array is None
     assert report.trace[0].winner == Point.of_bits("111")
 

@@ -275,18 +275,30 @@ _RUN_CFG = {
         ("run", {**_RUN_CFG, "space": "ranking"}, []),
         ("run", {**_RUN_CFG, "seed": float("inf")}, []),
         ("run", {**_RUN_CFG, "epsilon": 10**400}, []),
+        # no config file: the flags carry the bad value
+        ("reproduce", None, ["example3", "--iterations", "0"]),
+        ("reproduce", None, ["example3", "--iterations", "-3"]),
+        ("reproduce", None, ["example4", "--iterations", "-3"]),
+        ("verify", None, ["--seeds", "0"]),
+        ("verify", None, ["--seeds", "-1"]),
     ],
     ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed",
          "point-literal", "tiebreak-order", "box", "space-not-object", "seed-inf",
-         "epsilon-overflow"],
+         "epsilon-overflow", "iterations-0", "iterations-negative",
+         "iterations-negative-example4", "seeds-0", "seeds-negative"],
 )
 def test_bad_input_prints_an_error_line(tmp_path, monkeypatch, capsys, command, cfg, flags):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert run_cli(command, "cfg.json", *flags) == EXIT_ERROR
-    err = capsys.readouterr().err
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        flags = ["cfg.json", *flags]
+    assert run_cli(command, *flags) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    if command == "reproduce":
+        assert err == "error: the iteration budget must be at least 1\n"
 
 
 def test_unknown_rule_rejected():

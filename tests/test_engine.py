@@ -24,7 +24,6 @@ from delibsim import (
     step,
 )
 from delibsim import engine, rules
-from delibsim.rules import set_winner_override
 
 from helpers import binary, euclidean, ranking_space
 
@@ -197,6 +196,35 @@ def test_step_validates_each_new_point_once(monkeypatch):
     assert checked == []  # script points were validated by EngineConfig
 
 
+def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
+    from delibsim import policies
+    from delibsim.replays import run_example3
+
+    calls = {"check": 0, "dist": 0, "winner": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (engine, policies):
+        check, distance = module.check_constraints, module.dist
+        monkeypatch.setattr(module, "check_constraints", counting("check", check))
+        monkeypatch.setattr(module, "dist", counting("dist", distance))
+    monkeypatch.setattr(rules, "winner", counting("winner", rules.winner))
+    report, config = run_example3(30)
+    n = len(report.trace[0].points)
+    moves = n * (report.states - 1)
+    assert moves == 90
+    assert calls["check"] == moves
+    # d(before, w) once per move in step; d(after, w) and d(before, after) in the referee;
+    # the terminal state's distances and the growth window's drift
+    assert calls["dist"] <= 3 * moves + n + config.growth_window + 1
+    assert calls["winner"] == report.states
+
+
 # --- full runs ---------------------------------------------------------------
 
 
@@ -255,11 +283,7 @@ def test_run_cycle_detected_via_override():
     profile = Profile(space, (Point.of_bits("0"),))
     flip = lambda rule, prof: Point.of_bits("1" if prof.points[0].bits[0] == 0 else "0")
     config = EngineConfig(space, RuleSpec(VotingRule.MAJORITY))
-    try:
-        set_winner_override(flip)
-        report = run(profile, config)
-    finally:
-        set_winner_override(None)
+    report = run(profile, config, winner=flip)
     assert report.outcome is Outcome.CYCLE
     assert report.cycle_period == 2
     assert report.cycle_first_index == 0

@@ -8,6 +8,7 @@ from delibsim import (
     ConfigurationError,
     ConstraintMode,
     ConstraintViolationError,
+    EngineConfig,
     InfeasibleStepError,
     L1Mode,
     Metric,
@@ -15,8 +16,12 @@ from delibsim import (
     Point,
     PolicyKind,
     PolicySpec,
+    Profile,
+    RuleSpec,
+    VotingRule,
     check_constraints,
     dist,
+    step,
 )
 from delibsim.policies import (
     move_first_changed,
@@ -289,6 +294,15 @@ def test_check_constraints_approach_only_allows_jump_to_winner():
     assert msg is not None
 
 
+def test_check_constraints_judges_against_a_given_distance():
+    space = euclidean(Metric.L2, 1)
+    v, w = Point.reals((0.0,)), Point.reals((10.0,))
+    after = Point.reals((1.0,))
+    assert check_constraints(space, v, after, w, 1.0, d_before=10.0) is None
+    msg = check_constraints(space, v, after, w, 1.0, d_before=12.0)
+    assert msg is not None and "expected exactly 11.0" in msg
+
+
 def test_check_constraints_discrete_is_exact():
     space = binary(Metric.HAMMING, 4)
     v, w = Point.of_bits("0000"), Point.of_bits("1111")
@@ -332,17 +346,21 @@ def test_policy_scripted_returns_next_profile_entry():
 
 
 def test_policy_scripted_rejects_illegal_move():
+    # the policy proposes the script point; the engine's referee rejects it
     space = euclidean(Metric.L1, 1)
     script = (
         (Point.reals((0.0,)),),
         (Point.reals((4.0,)),),  # a 4-unit jump under a 1-unit step
     )
     spec = PolicySpec(kind=PolicyKind.SCRIPTED, script=script)
-    policy = MovePolicy(space, spec)
+    w = Point.reals((5.0,))
+    assert MovePolicy(space, spec).move(script[0][0], w, 1.0, 0, 0) == script[1][0]
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN), spec)
     with pytest.raises(ConstraintViolationError) as info:
-        policy.move(Point.reals((0.0,)), Point.reals((5.0,)), 1.0, 0, 0)
+        step(Profile(space, script[0]), config, winner=lambda rule, profile: w)
     assert info.value.agent == 0
     assert info.value.iteration == 0
+    assert str(info.value).startswith("agent 0 at iteration 0: approach law violated")
 
 
 def test_policy_scripted_exhausted_script():

@@ -58,6 +58,19 @@ def test_example4_median_recedes_forever():
 def test_escape_scripts_have_budget_plus_one_profiles():
     assert len(example3_script(10)) == 11
     assert len(example4_script(10)) == 11
+    # a count below 1 keeps the starting profile, so the budget check reports it
+    assert len(example3_script(-3)) == len(example4_script(-3)) == 1
+
+
+@pytest.mark.parametrize("name", ["example3", "example4"])
+@pytest.mark.parametrize(
+    "iterations, expected",
+    [(1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 2, 3]), (40, [0, 1, 2, 40])],
+    ids=["1", "2", "3", "40"],
+)
+def test_escape_replay_lists_each_iteration_once_in_order(name, iterations, expected):
+    lines = replay(name, iterations=iterations).lines
+    assert [int(line.split(":")[0].split()[1]) for line in lines[:-1]] == expected
 
 
 def test_ordinal_profile_matches_running_example():
@@ -89,6 +102,22 @@ def test_run_verification_corrupt_mode_fails_and_restores():
     rows = run_verification(seeds=range(1), corrupt=True)
     assert any(not r.passed for r in rows)
     # the sabotage hook must not leak out of the harness
+    p = ordinal_profile()
+    assert winner(RuleSpec(VotingRule.KEMENY), p) == Point.of_ranking((0, 1, 2))
+
+
+def test_run_verification_corrupt_mode_fails_exactly_the_kemeny_rows():
+    rows = run_verification(seeds=range(6), corrupt=True)
+
+    def kemeny(r):
+        return (
+            (r.check == "exact-count" and r.configuration == "kemeny")
+            or (r.check == "first-changed-timing" and r.configuration.startswith("swf-kemeny "))
+            or r.check == "kemeny-oracle"
+        )
+
+    assert sum(map(kemeny, rows)) == 6 + 6 + 2
+    assert [r for r in rows if kemeny(r) == r.passed] == []
     p = ordinal_profile()
     assert winner(RuleSpec(VotingRule.KEMENY), p) == Point.of_ranking((0, 1, 2))
 

@@ -24,7 +24,6 @@ from delibsim.rules import (
     mean_elementwise,
     median_elementwise,
     scoring_ranking,
-    set_winner_override,
     stv_ranking,
     stv_rounds,
     topk_majority,
@@ -266,17 +265,6 @@ def test_config_and_winner_share_one_compatibility_check():
         with pytest.raises(ConfigurationError) as from_config:
             EngineConfig(profile.spec, rule, epsilon=2.0)
         assert str(from_config.value) == str(from_winner.value)
-
-
-def test_winner_override_hook():
-    rp = ranking_profile(3, *ORDINAL)
-    sentinel = Point.of_ranking((2, 1, 0))
-    try:
-        set_winner_override(lambda rule, profile: sentinel)
-        assert winner(RuleSpec(VotingRule.KEMENY), rp) is sentinel
-    finally:
-        set_winner_override(None)
-    assert winner(RuleSpec(VotingRule.KEMENY), rp).ranking == (0, 1, 2)
 
 
 # --- property checks ---------------------------------------------------------
