@@ -5,6 +5,12 @@ Four subcommands: ``run`` executes one deliberation and writes its trace,
 ``reproduce`` replays a named built-in scenario against its expected
 outputs, and ``verify`` executes the seeded check matrix.
 
+Config files are read by ``profiles.setup_from_json``: ``run`` writes its
+flags over the file's keys and hands it the result, and ``batch`` hands it
+each entry of ``profiles.batch_from_json``.  Every
+``DelibError``, and an ``--out`` path that cannot be opened, ends in one
+``error: ...`` line on stderr.
+
 Exit codes are a stable contract: 0 for a converged run (or a clean
 command), 2 for a detected cycle, 3 for a capped run, 4 for a failed
 verification, and 1 for any configuration or input error.
@@ -14,27 +20,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from typing import IO, Optional, Sequence
 
-from .engine import EngineConfig, Outcome, run
+from .engine import Outcome, run
 from .errors import DelibError, ParseError
-from .policies import ConstraintMode, L1Mode, PolicyKind, PolicySpec
+from .policies import PolicyKind
 from .profiles import (
-    GeneratorSpec,
-    generate,
-    load_profile,
-    load_script,
-    profile_from_json,
-    space_from_json,
+    batch_from_json,
+    load_json,
+    setup_from_json,
     summary_row,
     write_summary_csv,
     write_trace_jsonl,
 )
 from .replays import DEFAULT_ESCAPE_ITERATIONS, REPLAY_NAMES, replay
-from .rules import NEEDS_TIEBREAK, Profile, RuleSpec, VotingRule
-from .spaces import Family, Metric, SpaceSpec
+from .rules import VotingRule
+from .spaces import Family, Metric
 from .verification import CHECK_FIELDS, CHECK_NAMES, run_verification
 
 EXIT_OK = 0
@@ -50,184 +52,62 @@ _OUTCOME_EXIT = {
 }
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
+def _with_flags(cfg: dict, args: argparse.Namespace) -> dict:
+    """The run config with each flag given to ``run`` written over its key: flags win.
+
+    ``--dim``, ``--m`` and ``--k`` size the space that the config or
+    ``--space``/``--distance`` name, and are ignored when none is named.
+    """
+    named = cfg.get("space")
+    space = {"family": args.space, "distance": args.distance}
+    if args.space or args.distance or named:
+        space.update(dimension=args.dim, committee_size=args.k)
+        if args.m is not None:
+            family = args.space or (named.get("family") if isinstance(named, dict) else None)
+            space["dimension" if family == Family.EUCLIDEAN.value else "num_candidates"] = args.m
+    return _merge(cfg, {
+        "seed": args.seed, "n": args.n, "epsilon": args.epsilon, "max_iters": args.max_iters,
+        "profile": args.profile, "rule": {"rule": args.rule}, "policy": {"kind": args.policy},
+        "space": space,
+    })
+
+
+def _merge(value, flags: dict):
+    """The given (not None) ``flags`` written over ``value``, object by object.
+
+    A value that is not an object is replaced when a flag is given for it, and
+    otherwise left for the config reader to judge.
+    """
+    given = {}
+    for key, flag in flags.items():
+        if isinstance(flag, dict):
+            flag = _merge(value.get(key) if isinstance(value, dict) else None, flag)
+        if flag is not None:
+            given[key] = flag
+    if not given:
+        return value
+    return {**value, **given} if isinstance(value, dict) else given
+
+
+def _open_out(path: str) -> IO[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(obj, dict):
-        raise ParseError("a config file must hold a JSON object")
-    return obj
-
-
-def _convert(kind, value, what: str):
-    """``kind(value)`` for a value read from a config file; a ParseError if it does not fit."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"invalid {what}: {value!r}") from None
-
-
-def _resolve_space(cfg: dict, args: argparse.Namespace) -> Optional[SpaceSpec]:
-    obj = cfg.get("space") or {}
-    if not isinstance(obj, dict):
-        raise ParseError(f"a space must be an object, got {type(obj).__name__}")
-    obj = dict(obj)
-    if getattr(args, "space", None):
-        obj["family"] = args.space
-    if getattr(args, "distance", None):
-        obj["distance"] = args.distance
-    if "family" not in obj and not obj:
-        return None
-    family = obj.get("family")
-    if getattr(args, "dim", None) is not None:
-        obj["dimension"] = args.dim
-    if getattr(args, "m", None) is not None:
-        if family == Family.EUCLIDEAN.value:
-            obj["dimension"] = args.m
-        else:
-            obj["num_candidates"] = args.m
-    if getattr(args, "k", None) is not None:
-        obj["committee_size"] = args.k
-    return space_from_json(obj)
-
-
-def _space_size(space: SpaceSpec) -> int:
-    if space.family is Family.EUCLIDEAN:
-        return space.dimension
-    return space.num_candidates
-
-
-def _resolve_rule(cfg: dict, args: argparse.Namespace, space: SpaceSpec) -> RuleSpec:
-    obj = cfg.get("rule")
-    kind_name = None
-    tiebreak = None
-    if isinstance(obj, str):
-        kind_name = obj
-    elif isinstance(obj, dict):
-        kind_name = obj.get("rule")
-        tiebreak = obj.get("tiebreak_order")
-    elif obj is not None:
-        raise ParseError("'rule' must be a rule name or an object")
-    if getattr(args, "rule", None):
-        kind_name = args.rule
-    if kind_name is None:
-        raise ParseError("no voting rule given (use --rule or the config file)")
-    kind = _convert(VotingRule, kind_name, "rule")
-    if tiebreak is None and kind in NEEDS_TIEBREAK:
-        tiebreak = tuple(range(_space_size(space)))
-    return RuleSpec(kind, tiebreak)
-
-
-def _resolve_policy(
-    cfg: dict, args: argparse.Namespace, space: SpaceSpec, default_seed: Optional[int]
-) -> PolicySpec:
-    obj = dict(cfg.get("policy") or {})
-    if getattr(args, "policy", None):
-        obj["kind"] = args.policy
-    kind = _convert(PolicyKind, obj.get("kind", PolicyKind.DEFAULT.value), "policy kind")
-    seed = obj.get("seed")
-    if seed is None and kind is PolicyKind.SEEDED_RANDOM:
-        seed = default_seed
-    if seed is not None:
-        seed = _convert(int, seed, "policy seed")
-    script = None
-    if "script" in obj and obj["script"] is not None:
-        script = load_script(obj["script"], space)
-    # Deepest-disagreement moves are only auditable one-sidedly, so that
-    # metric gets approach-only checking unless the config says otherwise.
-    default_mode = (
-        ConstraintMode.APPROACH_ONLY
-        if space.distance is Metric.FIRST_CHANGED
-        else ConstraintMode.STRICT
-    )
-    return PolicySpec(
-        kind=kind,
-        seed=seed,
-        script=script,
-        l1_mode=_convert(L1Mode, obj.get("l1_mode", L1Mode.COORD_ORDER.value), "l1_mode"),
-        constraint_mode=_convert(
-            ConstraintMode, obj.get("constraint_mode", default_mode.value), "constraint_mode"
-        ),
-    )
-
-
-def _setting(cfg: dict, args: argparse.Namespace, name: str, default=None):
-    """A flag's value when the command has that flag and it was given, else the config's."""
-    value = getattr(args, name, None)
-    return value if value is not None else cfg.get(name, default)
-
-
-def _setup(cfg: dict, args: argparse.Namespace) -> tuple[Profile, EngineConfig, int]:
-    """Merge config file and flag overrides into a ready-to-run pair."""
-    seed = _convert(int, _setting(cfg, args, "seed", 0), "seed")
-    space = _resolve_space(cfg, args)
-    profile = None
-    profile_src = getattr(args, "profile", None) or cfg.get("profile")
-    if profile_src is not None:
-        profile = (
-            load_profile(profile_src)
-            if isinstance(profile_src, str)
-            else profile_from_json(profile_src)
-        )
-        if space is not None and profile.spec != space:
-            raise ParseError("the profile's space differs from the configured space")
-        space = profile.spec
-    if space is None:
-        raise ParseError("no space given (use --space/--distance or the config file)")
-    policy = _resolve_policy(cfg, args, space, seed)
-    if policy.kind is PolicyKind.SCRIPTED:
-        initial = Profile(space, policy.script[0])
-        if profile is not None and profile.points != initial.points:
-            raise ParseError("the given profile differs from the script's first entry")
-    elif profile is not None:
-        initial = profile
-    else:
-        n = _setting(cfg, args, "n")
-        if n is None:
-            raise ParseError(
-                "no initial profile: give --profile, a script, or --n to generate"
-            )
-        box = cfg.get("box")
-        initial = generate(
-            GeneratorSpec(
-                space,
-                n=_convert(int, n, "n"),
-                seed=seed,
-                euclidean_box=box or None,
-            )
-        )
-    rule = _resolve_rule(cfg, args, space)
-    max_iters = _setting(cfg, args, "max_iters")
-    config = EngineConfig(
-        space,
-        rule,
-        policy,
-        epsilon=_convert(float, _setting(cfg, args, "epsilon", 1.0), "epsilon"),
-        max_iters=_convert(int, max_iters, "max_iters") if max_iters is not None else None,
-    )
-    return initial, config, seed
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        initial, config, seed = _setup(_load_config_file(args.config), args)
-        report = run(initial, config)
-    except DelibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    cfg = load_json(args.config) if args.config is not None else {}
+    initial, config, seed = setup_from_json(
+        _with_flags(cfg, args) if isinstance(cfg, dict) else cfg
+    )
+    report = run(initial, config)
     if args.out:
-        if args.format == "csv":
-            write_summary_csv([summary_row(report, config, seed)], args.out)
-        else:
-            write_trace_jsonl(report, config.space, args.out)
+        with _open_out(args.out) as fh:
+            if args.format == "csv":
+                write_summary_csv([summary_row(report, config, seed)], fh)
+            else:
+                write_trace_jsonl(report, config.space, fh)
     if not args.quiet:
         row = summary_row(report, config, seed)
         print(
@@ -247,29 +127,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config_file(args.config)
-        seeds = cfg.get("seeds")
-        entries = cfg.get("configurations")
-        if not isinstance(seeds, list) or not seeds:
-            raise ParseError("batch config needs a non-empty 'seeds' array")
-        if not isinstance(entries, list) or not entries:
-            raise ParseError("batch config needs a non-empty 'configurations' array")
-        rows = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ParseError("each batch configuration must be an object")
-            for seed in seeds:
-                merged = dict(entry)
-                merged["seed"] = seed
-                initial, config, row_seed = _setup(merged, args)
-                report = run(initial, config)
-                rows.append(summary_row(report, config, row_seed))
-    except DelibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rows = []
+    for cfg in batch_from_json(load_json(args.config)):
+        initial, config, seed = setup_from_json(cfg)
+        rows.append(summary_row(run(initial, config), config, seed))
     if args.out:
-        write_summary_csv(rows, args.out)
+        with _open_out(args.out) as fh:
+            write_summary_csv(rows, fh)
         if not args.quiet:
             print(f"wrote {len(rows)} rows to {args.out}")
     else:
@@ -278,11 +142,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    try:
-        result = replay(args.name, iterations=args.iterations)
-    except DelibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    result = replay(args.name, iterations=args.iterations)
     if not args.quiet:
         for line in result.lines:
             print(line)
@@ -306,15 +166,9 @@ def _write_check_rows(rows, fh: IO[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        rows = run_verification(
-            seeds=range(args.seeds), checks=args.checks, corrupt=args.corrupt
-        )
-    except DelibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rows = run_verification(seeds=range(args.seeds), checks=args.checks, corrupt=args.corrupt)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(args.out) as fh:
             _write_check_rows(rows, fh)
     else:
         _write_check_rows(rows, sys.stdout)
@@ -381,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DelibError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Seeded profile generation and file formats.
 
-Profiles and scripts travel as JSON, traces as JSON Lines, batch results
-as CSV.  Every generator is a pure function of its seed.  The worst-case
+Profiles, scripts and run configs travel as JSON, traces as JSON Lines,
+batch results as CSV.  Each JSON format has one reader here, which refuses
+unknown keys and values of the wrong JSON type; ``setup_from_json`` reads a
+run config into a ready-to-run profile and ``EngineConfig``.  Every
+generator is a pure function of its seed.  The worst-case
 builders construct the profiles that force the deepest-disagreement
 dynamics to take their full iteration count: a stable anchor majority plus
 movers starting at maximal distance.
@@ -18,7 +21,8 @@ from typing import IO, Optional, Sequence, Union
 from . import arrays
 from .engine import EngineConfig, Outcome, RunReport
 from .errors import ConfigurationError, ParseError
-from .rules import Profile, VotingRule
+from .policies import ConstraintMode, L1Mode, PolicyKind, PolicySpec
+from .rules import NEEDS_TIEBREAK, Profile, RuleSpec, VotingRule
 from .spaces import (
     Family,
     Metric,
@@ -122,31 +126,51 @@ _SPACE_KEYS = {
 }
 
 
-def space_from_json(obj) -> SpaceSpec:
+def _fields(obj, what: str, keys: set) -> dict:
+    """A JSON object's fields, all named in ``keys``; a null field counts as absent."""
     if not isinstance(obj, dict):
-        raise ParseError(f"a space must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _SPACE_KEYS
+        raise ParseError(f"a {what} must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - keys
     if unknown:
-        raise ParseError(f"unknown space fields: {', '.join(sorted(unknown))}")
+        raise ParseError(f"unknown {what} fields: {', '.join(sorted(unknown))}")
+    return {key: value for key, value in obj.items() if value is not None}
+
+
+_JSON_TYPES = {int: "an integer", (int, float): "a number", bool: "true or false",
+               str: "a file path", list: "an array"}
+
+
+def _typed(value, kind, what: str):
+    """``value`` if it has the JSON type ``kind`` (a bool is no number); None stays None."""
+    if value is not None and (
+        not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+    ):
+        shown = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+        raise ParseError(f"{what} must be {_JSON_TYPES[kind]}, got {shown}")
+    return value
+
+
+def _member(kind, value, what: str):
+    """The member of enum ``kind`` that is, or has the value, ``value``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"invalid {what}: {value!r}") from None
+
+
+def space_from_json(obj) -> SpaceSpec:
+    obj = _fields(obj, "space", _SPACE_KEYS)
     for key in ("family", "distance"):
         if key not in obj:
             raise ParseError(f"space is missing the {key!r} field")
-    try:
-        family = Family(obj["family"])
-        distance = Metric(obj["distance"])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    for key in ("dimension", "num_candidates", "committee_size"):
-        value = obj.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ParseError(f"space field {key!r} must be an integer, got {value!r}")
+    size = {key: _typed(obj.get(key), int, f"space field {key!r}")
+            for key in ("dimension", "num_candidates", "committee_size")}
     return SpaceSpec(
-        family=family,
-        distance=distance,
-        dimension=obj.get("dimension"),
-        num_candidates=obj.get("num_candidates"),
-        committee_size=obj.get("committee_size"),
-        integer_lattice=bool(obj.get("integer_lattice", False)),
+        family=_member(Family, obj["family"], "space family"),
+        distance=_member(Metric, obj["distance"], "distance"),
+        integer_lattice=_typed(obj.get("integer_lattice", False), bool,
+                               "space field 'integer_lattice'"),
+        **size,
     )
 
 
@@ -158,7 +182,8 @@ def profile_to_json(profile: Profile) -> dict:
 
 
 def profile_from_json(obj) -> Profile:
-    if not isinstance(obj, dict) or "space" not in obj or "points" not in obj:
+    obj = _fields(obj, "profile", {"space", "points"})
+    if "space" not in obj or "points" not in obj:
         raise ParseError("a profile needs 'space' and 'points' fields")
     space = space_from_json(obj["space"])
     raw = obj["points"]
@@ -167,12 +192,15 @@ def profile_from_json(obj) -> Profile:
     return Profile(space, tuple(point_from_json(space, item) for item in raw))
 
 
-def _load_json(path: str):
+def load_json(path: str):
+    """The JSON value in a UTF-8 file; a ParseError names the path on any failure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -180,7 +208,7 @@ def _load_json(path: str):
 
 
 def load_profile(path: str) -> Profile:
-    return profile_from_json(_load_json(path))
+    return profile_from_json(load_json(path))
 
 
 def save_profile(profile: Profile, path: str) -> None:
@@ -191,7 +219,7 @@ def save_profile(profile: Profile, path: str) -> None:
 
 def load_script(path: str, space: SpaceSpec) -> tuple[tuple[Point, ...], ...]:
     """A script file is an array of profiles, each an array of point literals."""
-    obj = _load_json(path)
+    obj = load_json(path)
     if not isinstance(obj, list) or not obj:
         raise ParseError("a script must be a non-empty array of profiles")
     script = []
@@ -203,6 +231,103 @@ def load_script(path: str, space: SpaceSpec) -> tuple[tuple[Point, ...], ...]:
     if len(sizes) != 1:
         raise ParseError("every script entry must list the same number of agents")
     return tuple(script)
+
+
+_CONFIG_KEYS = {"space", "profile", "policy", "rule", "n", "seed", "box", "epsilon", "max_iters"}
+
+
+def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
+    """Read a run config into its initial profile, engine config and seed.
+
+    This is the one reader of the config format that the README's "Command
+    line" section lists.  The initial profile is a scripted policy's first
+    entry, else ``profile`` (inline, or a profile file's path), else ``n``
+    agents generated from ``seed``.
+    """
+    cfg = _fields(obj, "config", _CONFIG_KEYS)
+    seed = _typed(cfg.get("seed", 0), int, "seed")
+    n = _typed(cfg.get("n"), int, "n")
+    for pair in _typed(cfg.get("box", []), list, "box"):
+        for bound in _typed(pair, list, "a box range"):
+            _typed(bound, (int, float), "a box bound")
+    try:
+        epsilon = float(_typed(cfg.get("epsilon", 1.0), (int, float), "epsilon"))
+    except OverflowError:
+        raise ParseError("epsilon is too large for a float") from None
+    space = space_from_json(cfg["space"]) if "space" in cfg else None
+    profile = cfg.get("profile")
+    if profile is not None:
+        profile = load_profile(profile) if isinstance(profile, str) else profile_from_json(profile)
+        if space is not None and profile.spec != space:
+            raise ParseError("the profile's space differs from the configured space")
+        space = profile.spec
+    if space is None:
+        raise ParseError("no space given (use --space/--distance or the config file)")
+
+    policy = _fields(cfg.get("policy", {}), "policy",
+                     {"kind", "seed", "script", "l1_mode", "constraint_mode"})
+    kind = _member(PolicyKind, policy.get("kind", PolicyKind.DEFAULT), "policy kind")
+    script = _typed(policy.get("script"), str, "policy field 'script'")
+    # Deepest-disagreement moves are only auditable one-sidedly, so that
+    # metric gets approach-only checking unless the config says otherwise.
+    default_mode = (ConstraintMode.APPROACH_ONLY if space.distance is Metric.FIRST_CHANGED
+                    else ConstraintMode.STRICT)
+    policy = PolicySpec(
+        kind=kind,
+        seed=_typed(policy.get("seed", seed if kind is PolicyKind.SEEDED_RANDOM else None),
+                    int, "policy seed"),
+        script=None if script is None else load_script(script, space),
+        l1_mode=_member(L1Mode, policy.get("l1_mode", L1Mode.COORD_ORDER), "l1_mode"),
+        constraint_mode=_member(
+            ConstraintMode, policy.get("constraint_mode", default_mode), "constraint_mode"
+        ),
+    )
+    if policy.kind is PolicyKind.SCRIPTED:
+        initial = Profile(space, policy.script[0])
+        if profile is not None and profile.points != initial.points:
+            raise ParseError("the given profile differs from the script's first entry")
+    elif profile is not None:
+        initial = profile
+    elif n is not None:
+        initial = generate(GeneratorSpec(space, n=n, seed=seed, euclidean_box=cfg.get("box")))
+    else:
+        raise ParseError("no initial profile: give --profile, a script, or --n to generate")
+
+    rule = cfg.get("rule", {})
+    rule = _fields({"rule": rule} if isinstance(rule, str) else rule, "rule",
+                   {"rule", "tiebreak_order"})
+    if "rule" not in rule:
+        raise ParseError("no voting rule given (use --rule or the config file)")
+    voting_rule = _member(VotingRule, rule["rule"], "rule")
+    order = rule.get("tiebreak_order")
+    if order is not None:
+        order = tuple(
+            _typed(c, int, "a tiebreak entry") for c in _typed(order, list, "tiebreak_order")
+        )
+    elif voting_rule in NEEDS_TIEBREAK and space.num_candidates is not None:
+        order = tuple(range(space.num_candidates))
+    config = EngineConfig(
+        space,
+        RuleSpec(voting_rule, order),
+        policy,
+        epsilon=epsilon,
+        max_iters=_typed(cfg.get("max_iters"), int, "max_iters"),
+    )
+    return initial, config, seed
+
+
+def batch_from_json(obj) -> list[dict]:
+    """The run configs of a batch config: each configuration with each seed, in order."""
+    batch = _fields(obj, "batch config", {"seeds", "configurations"})
+    for key in ("seeds", "configurations"):
+        if not isinstance(batch.get(key), list) or not batch[key]:
+            raise ParseError(f"batch config needs a non-empty {key!r} array")
+    for entry in batch["configurations"]:
+        if "seed" in _fields(entry, "batch configuration", _CONFIG_KEYS):
+            raise ParseError("a batch configuration takes its seeds from 'seeds', not 'seed'")
+    return [
+        {**entry, "seed": seed} for entry in batch["configurations"] for seed in batch["seeds"]
+    ]
 
 
 def save_script(

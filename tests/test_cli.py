@@ -2,10 +2,27 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from delibsim import Metric, Point, Profile, save_profile, save_script
+from delibsim import (
+    ConstraintMode,
+    EngineConfig,
+    GeneratorSpec,
+    L1Mode,
+    Metric,
+    Point,
+    PolicyKind,
+    PolicySpec,
+    Profile,
+    RuleSpec,
+    VotingRule,
+    generate,
+    run,
+    save_profile,
+    save_script,
+)
 from delibsim.cli import (
     EXIT_CAP,
     EXIT_ERROR,
@@ -13,8 +30,10 @@ from delibsim.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from delibsim.profiles import setup_from_json, write_trace_jsonl
+from delibsim.replays import example3_script
 
-from helpers import euclidean
+from helpers import binary, euclidean, ranking_space
 
 
 def run_cli(*argv):
@@ -127,8 +146,6 @@ def test_run_config_file_with_flag_overrides(tmp_path, capsys):
 
 def test_run_scripted_from_config(tmp_path, capsys):
     space = euclidean(Metric.LINF, 3)
-    from delibsim.replays import example3_script
-
     script = example3_script(10)
     spath = tmp_path / "script.json"
     save_script(script, space, str(spath))
@@ -157,6 +174,145 @@ def test_run_profile_space_mismatch(tmp_path, capsys):
     )
     assert code == EXIT_ERROR
     assert "differs" in capsys.readouterr().err
+
+
+# --- config keys -------------------------------------------------------------
+
+
+_E2 = {"family": "euclidean", "distance": "l2", "dimension": 2}
+_SWAP4 = {"family": "ranking", "distance": "swap", "num_candidates": 4}
+_INLINE = {"space": _E2, "points": [[0.0, 0.0], [4.0, 1.0], [2.5, 7.0], [9.0, 3.0]]}
+_SCRIPT = example3_script(10)
+_FILE_PROFILE = Profile(euclidean(Metric.L2, 2),
+                        tuple(Point.reals((v, -v)) for v in (1.0, 2.0, 6.0)))
+
+
+def _generated(space, n, seed, box=None):
+    return generate(GeneratorSpec(space, n=n, seed=seed, euclidean_box=box))
+
+
+@pytest.mark.parametrize(
+    "cfg, flags, expected",
+    [
+        (
+            {"space": {**_E2, "distance": "l1"}, "rule": "mean", "n": 5, "seed": 3,
+             "box": [[-5, 5], [0.5, 2.5]], "epsilon": 0.75,
+             "policy": {"l1_mode": "proportional", "constraint_mode": "approach_only"}},
+            [],
+            lambda: (
+                _generated(euclidean(Metric.L1, 2), 5, 3, ((-5, 5), (0.5, 2.5))),
+                EngineConfig(
+                    euclidean(Metric.L1, 2), RuleSpec(VotingRule.MEAN),
+                    PolicySpec(l1_mode=L1Mode.PROPORTIONAL,
+                               constraint_mode=ConstraintMode.APPROACH_ONLY),
+                    epsilon=0.75,
+                ),
+            ),
+        ),
+        (
+            {"space": _E2, "rule": "median", "n": 5, "seed": 11,
+             "policy": {"kind": "seeded_random"}},
+            [],
+            lambda: (
+                _generated(euclidean(Metric.L2, 2), 5, 11),
+                EngineConfig(euclidean(Metric.L2, 2), RuleSpec(VotingRule.MEDIAN),
+                             PolicySpec(PolicyKind.SEEDED_RANDOM, seed=11)),
+            ),
+        ),
+        (
+            {"space": _SWAP4, "rule": {"rule": "copeland", "tiebreak_order": [3, 1, 0, 2]},
+             "n": 6, "seed": 8},
+            [],
+            lambda: (
+                _generated(ranking_space(Metric.SWAP, 4), 6, 8),
+                EngineConfig(ranking_space(Metric.SWAP, 4),
+                             RuleSpec(VotingRule.COPELAND, (3, 1, 0, 2))),
+            ),
+        ),
+        (
+            {"space": _SWAP4, "rule": "plurality", "n": 6, "seed": 8},
+            [],
+            lambda: (
+                _generated(ranking_space(Metric.SWAP, 4), 6, 8),
+                EngineConfig(ranking_space(Metric.SWAP, 4),
+                             RuleSpec(VotingRule.PLURALITY, (0, 1, 2, 3))),
+            ),
+        ),
+        (
+            {"space": {"family": "binary", "distance": "first_changed", "num_candidates": 5},
+             "rule": "majority", "n": 5, "seed": 6},
+            [],
+            lambda: (
+                _generated(binary(Metric.FIRST_CHANGED, 5), 5, 6),
+                EngineConfig(binary(Metric.FIRST_CHANGED, 5), RuleSpec(VotingRule.MAJORITY),
+                             PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY)),
+            ),
+        ),
+        (
+            {"space": {**_E2, "distance": "l1", "integer_lattice": True}, "rule": "floor_mean",
+             "n": 5, "seed": 2, "box": [[0, 20], [0, 20]], "max_iters": 3},
+            [],
+            lambda: (
+                _generated(euclidean(Metric.L1, 2, lattice=True), 5, 2, ((0, 20), (0, 20))),
+                EngineConfig(euclidean(Metric.L1, 2, lattice=True),
+                             RuleSpec(VotingRule.FLOOR_MEAN), max_iters=3),
+            ),
+        ),
+        (
+            {"rule": "mean", "profile": _INLINE, "epsilon": 0.3},
+            [],
+            lambda: (
+                Profile(euclidean(Metric.L2, 2),
+                        tuple(Point.reals(p) for p in _INLINE["points"])),
+                EngineConfig(euclidean(Metric.L2, 2), RuleSpec(VotingRule.MEAN), epsilon=0.3),
+            ),
+        ),
+        (
+            {"space": {"family": "euclidean", "distance": "linf", "dimension": 3},
+             "rule": "mean", "policy": {"kind": "scripted", "script": "script.json"},
+             "max_iters": 10},
+            [],
+            lambda: (
+                Profile(euclidean(Metric.LINF, 3), _SCRIPT[0]),
+                EngineConfig(euclidean(Metric.LINF, 3), RuleSpec(VotingRule.MEAN),
+                             PolicySpec(PolicyKind.SCRIPTED, script=_SCRIPT), max_iters=10),
+            ),
+        ),
+        (
+            {"space": _E2, "rule": "mean", "n": 4, "seed": 5, "epsilon": 0.5},
+            ["--seed", "6", "--epsilon", "0.25", "--rule", "median", "--n", "7"],
+            lambda: (
+                _generated(euclidean(Metric.L2, 2), 7, 6),
+                EngineConfig(euclidean(Metric.L2, 2), RuleSpec(VotingRule.MEDIAN),
+                             epsilon=0.25),
+            ),
+        ),
+        (
+            {"rule": "mean", "profile": _INLINE, "policy": {"kind": "seeded_random", "seed": 4}},
+            ["--profile", "profile.json", "--policy", "default"],
+            lambda: (
+                _FILE_PROFILE,
+                EngineConfig(euclidean(Metric.L2, 2), RuleSpec(VotingRule.MEAN),
+                             PolicySpec(seed=4)),
+            ),
+        ),
+    ],
+    ids=["box-l1-mode-constraint-mode", "seeded-random-run-seed", "tiebreak-order",
+         "identity-tiebreak", "first-changed-approach-only", "lattice-max-iters",
+         "inline-profile", "script-path", "flags-override", "profile-flag-policy-flag"],
+)
+def test_every_config_key_reaches_the_run(tmp_path, monkeypatch, cfg, flags, expected):
+    monkeypatch.chdir(tmp_path)
+    save_script(_SCRIPT, euclidean(Metric.LINF, 3), "script.json")
+    save_profile(_FILE_PROFILE, "profile.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli("run", "cfg.json", *flags, "--out", "cli.jsonl", "--quiet") in (
+        EXIT_OK, EXIT_CAP)
+    initial, config = expected()
+    write_trace_jsonl(run(initial, config), config.space, "expected.jsonl")
+    assert (tmp_path / "cli.jsonl").read_text() == (tmp_path / "expected.jsonl").read_text()
+    if not flags:
+        assert setup_from_json(cfg)[:2] == (initial, config)
 
 
 # --- batch -------------------------------------------------------------------
@@ -201,6 +357,13 @@ def test_batch_bad_json(tmp_path, capsys):
     path.write_text("{nope")
     assert run_cli("batch", str(path)) == EXIT_ERROR
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_example_configs_run(command, capsys):
+    path = Path(__file__).resolve().parent.parent / "examples" / f"{command}.json"
+    assert run_cli(command, str(path)) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 # --- reproduce ---------------------------------------------------------------
@@ -275,22 +438,51 @@ _RUN_CFG = {
         ("run", {**_RUN_CFG, "space": "ranking"}, []),
         ("run", {**_RUN_CFG, "seed": float("inf")}, []),
         ("run", {**_RUN_CFG, "epsilon": 10**400}, []),
+        ("run", {**_RUN_CFG, "epsilom": 0.5, "max_iter": 3}, []),
+        ("run", {**_RUN_CFG, "policy": {"kind": "default", "sed": 1}}, []),
+        ("run", {**_RUN_CFG, "rule": {"rule": "mean", "tiebreak": [0, 1]}}, []),
+        ("run", {**_RUN_CFG, "policy": "default"}, []),
+        ("run", {**_RUN_CFG, "policy": [1]}, []),
+        ("run", {**_RUN_CFG, "rule": ["mean"]}, []),
+        ("run", {**_RUN_CFG, "policy": {"kind": "scripted", "script": [[[0.0, 0.0]]]}}, []),
+        ("run", {**_RUN_CFG, "n": True}, []),
+        ("run", {**_RUN_CFG, "n": 3.7}, []),
+        ("run", {**_RUN_CFG, "n": "5"}, []),
+        ("run", {"space": {"family": "euclidean", "distance": "l1", "dimension": 1,
+                           "integer_lattice": "no"}, "rule": "floor_mean", "n": 3}, []),
+        ("batch", {"seeds": [0], "configurations": [{**_RUN_CFG, "seed": 1}]}, []),
+        ("batch", {"seeds": [0], "configurations": [_RUN_CFG], "seed": 1}, []),
+        ("run", None, ["."]),
+        ("run", b'{"n": "\xff"}', []),
+        ("run", _RUN_CFG, ["--out", "missing/x.jsonl"]),
+        ("batch", {"seeds": [0], "configurations": [_RUN_CFG]}, ["--out", "missing/x.csv"]),
         # no config file: the flags carry the bad value
         ("reproduce", None, ["example3", "--iterations", "0"]),
         ("reproduce", None, ["example3", "--iterations", "-3"]),
         ("reproduce", None, ["example4", "--iterations", "-3"]),
         ("verify", None, ["--seeds", "0"]),
         ("verify", None, ["--seeds", "-1"]),
+        ("verify", None, ["--seeds", "1", "--checks", "kemeny-oracle",
+                          "--out", "missing/x.csv"]),
     ],
     ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed",
          "point-literal", "tiebreak-order", "box", "space-not-object", "seed-inf",
-         "epsilon-overflow", "iterations-0", "iterations-negative",
-         "iterations-negative-example4", "seeds-0", "seeds-negative"],
+         "epsilon-overflow", "unknown-key", "unknown-policy-key", "unknown-rule-key",
+         "policy-string", "policy-array", "rule-array", "inline-script", "n-bool", "n-float",
+         "n-string", "integer-lattice-string", "batch-entry-seed", "batch-unknown-key",
+         "config-directory", "config-not-utf8", "run-out-unwritable",
+         "batch-out-unwritable", "iterations-0", "iterations-negative",
+         "iterations-negative-example4", "seeds-0", "seeds-negative",
+         "verify-out-unwritable"],
 )
 def test_bad_input_prints_an_error_line(tmp_path, monkeypatch, capsys, command, cfg, flags):
     monkeypatch.chdir(tmp_path)
     if cfg is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        path = tmp_path / "cfg.json"
+        if isinstance(cfg, bytes):
+            path.write_bytes(cfg)
+        else:
+            path.write_text(json.dumps(cfg))
         flags = ["cfg.json", *flags]
     assert run_cli(command, *flags) == EXIT_ERROR
     out, err = capsys.readouterr()
