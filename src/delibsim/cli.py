@@ -56,7 +56,7 @@ def _with_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """The run config with each flag given to ``run`` written over its key: flags win.
 
     ``--dim``, ``--m`` and ``--k`` size the space that the config or
-    ``--space``/``--distance`` name, and are ignored when none is named.
+    ``--space``/``--distance`` name, and are refused when none is named.
     """
     named = cfg.get("space")
     space = {"family": args.space, "distance": args.distance}
@@ -65,6 +65,13 @@ def _with_flags(cfg: dict, args: argparse.Namespace) -> dict:
         if args.m is not None:
             family = args.space or (named.get("family") if isinstance(named, dict) else None)
             space["dimension" if family == Family.EUCLIDEAN.value else "num_candidates"] = args.m
+    else:
+        for flag, value in (("--dim", args.dim), ("--m", args.m), ("--k", args.k)):
+            if value is not None:
+                raise ParseError(
+                    f"{flag} sizes a space, but none is named (use --space/--distance "
+                    "or the config file)"
+                )
     return _merge(cfg, {
         "seed": args.seed, "n": args.n, "epsilon": args.epsilon, "max_iters": args.max_iters,
         "profile": args.profile, "rule": {"rule": args.rule}, "policy": {"kind": args.policy},

@@ -14,7 +14,7 @@ class InvalidPointError(DelibError):
 
 
 class UnsupportedSizeError(DelibError):
-    """An exhaustive computation was requested above its hard size limit."""
+    """A computation was requested above its hard size limit."""
 
 
 class InfeasibleStepError(DelibError):

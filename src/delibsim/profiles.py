@@ -242,7 +242,8 @@ def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
     This is the one reader of the config format that the README's "Command
     line" section lists.  The initial profile is a scripted policy's first
     entry, else ``profile`` (inline, or a profile file's path), else ``n``
-    agents generated from ``seed``.
+    agents generated from ``seed``; ``n`` and ``box`` are refused when they
+    would go unused.
     """
     cfg = _fields(obj, "config", _CONFIG_KEYS)
     seed = _typed(cfg.get("seed", 0), int, "seed")
@@ -282,6 +283,10 @@ def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
             ConstraintMode, policy.get("constraint_mode", default_mode), "constraint_mode"
         ),
     )
+    if policy.kind is PolicyKind.SCRIPTED or profile is not None:
+        for key in ("n", "box"):
+            if key in cfg:
+                raise ParseError(f"{key!r} is unused: a profile or script supplies the agents")
     if policy.kind is PolicyKind.SCRIPTED:
         initial = Profile(space, policy.script[0])
         if profile is not None and profile.points != initial.points:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .analysis import potential_scoring, potential_stv
 from .engine import DEFAULT_GROWTH_WINDOW, EngineConfig, Outcome, RunReport, run
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UnsupportedSizeError
 from .policies import ConstraintMode, PolicyKind, PolicySpec
 from .rules import Profile, RuleSpec, VotingRule
 from .spaces import Family, Metric, Point, SpaceSpec
@@ -39,6 +39,9 @@ SCORING_VECTOR = (2, 2, 5, 1, 0, 2, 0, 1, 2)
 STV_VECTOR = (0, 1, 2, 1, 0, 2, 3, 2, 5)
 
 DEFAULT_ESCAPE_ITERATIONS = 500
+#: an escape replay keeps its script and its trace, about 2 KB and 0.1 ms per
+#: iteration, so a longer one is refused before its script is built
+MAX_ESCAPE_ITERATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,16 @@ def run_example1() -> tuple[RunReport, EngineConfig]:
     return run(initial, config), config
 
 
-def example3_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
-    # a count below 1 keeps the starting profile, so the run reports the budget
+def _check_length(iterations: int) -> None:
+    if iterations > MAX_ESCAPE_ITERATIONS:
+        raise UnsupportedSizeError(
+            f"a replay of {iterations} iterations refused (limit {MAX_ESCAPE_ITERATIONS})"
+        )
 
+
+def example3_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
+    _check_length(iterations)
+    # a count below 1 keeps the starting profile, so the run reports the budget
     return tuple(
         tuple(Point.reals(c + j for c in base) for base in EXAMPLE3_START)
         for j in range(max(iterations, 0) + 1)
@@ -70,6 +80,7 @@ def example3_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
 
 
 def example4_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
+    _check_length(iterations)
     script = [tuple(Point.reals(base) for base in EXAMPLE4_START)]
     for j in range(1, iterations + 1):
         script.append(

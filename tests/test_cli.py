@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from delibsim.cli import (
     main,
 )
 from delibsim.profiles import setup_from_json, write_trace_jsonl
-from delibsim.replays import example3_script
+from delibsim.replays import MAX_ESCAPE_ITERATIONS, example3_script
 
 from helpers import binary, euclidean, ranking_space
 
@@ -161,6 +162,24 @@ def test_run_scripted_from_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CAP
     assert "cap reached" in out
+
+
+@pytest.mark.parametrize("key, value", [("n", 3), ("box", [[0, 1]] * 3)])
+def test_run_refuses_agent_keys_that_a_script_overrides(tmp_path, capsys, key, value):
+    spath = tmp_path / "script.json"
+    save_script(example3_script(10), euclidean(Metric.LINF, 3), str(spath))
+    cfg = {
+        "space": {"family": "euclidean", "distance": "linf", "dimension": 3},
+        "rule": "mean",
+        "policy": {"kind": "scripted", "script": str(spath)},
+        key: value,
+    }
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert run_cli("run", str(cpath)) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {key!r} is unused: a profile or script supplies the agents\n"
+    )
 
 
 def test_run_profile_space_mismatch(tmp_path, capsys):
@@ -381,6 +400,18 @@ def test_reproduce_short_escape_budget(capsys):
     assert run_cli("reproduce", "example4", "--iterations", "30", "--quiet") == EXIT_OK
 
 
+@pytest.mark.parametrize("name", ["example3", "example4"])
+def test_reproduce_refuses_an_unbuildable_script_at_once(capsys, name):
+    start = time.perf_counter()
+    assert run_cli("reproduce", name, "--iterations", str(10**20)) == EXIT_ERROR
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: a replay of {10**20} iterations refused (limit {MAX_ESCAPE_ITERATIONS})\n"
+    )
+
+
 def test_reproduce_unknown_name(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli("reproduce", "example9")
@@ -464,6 +495,13 @@ _RUN_CFG = {
         ("verify", None, ["--seeds", "-1"]),
         ("verify", None, ["--seeds", "1", "--checks", "kemeny-oracle",
                           "--out", "missing/x.csv"]),
+        # a profile supplies the agents, so nothing may size or sample them
+        ("run", {"rule": "mean", "profile": _INLINE, "n": 4}, []),
+        ("run", {"rule": "mean", "profile": _INLINE, "box": [[0, 1], [0, 1]]}, []),
+        ("run", {"rule": "mean", "profile": _INLINE}, ["--n", "4"]),
+        ("run", {"rule": "mean", "profile": _INLINE}, ["--m", "3"]),
+        ("run", {"rule": "mean", "profile": _INLINE}, ["--dim", "2"]),
+        ("run", {"rule": "mean", "profile": _INLINE}, ["--k", "1"]),
     ],
     ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed",
          "point-literal", "tiebreak-order", "box", "space-not-object", "seed-inf",
@@ -473,7 +511,8 @@ _RUN_CFG = {
          "config-directory", "config-not-utf8", "run-out-unwritable",
          "batch-out-unwritable", "iterations-0", "iterations-negative",
          "iterations-negative-example4", "seeds-0", "seeds-negative",
-         "verify-out-unwritable"],
+         "verify-out-unwritable", "profile-and-n", "profile-and-box", "profile-and-n-flag",
+         "m-flag-without-space", "dim-flag-without-space", "k-flag-without-space"],
 )
 def test_bad_input_prints_an_error_line(tmp_path, monkeypatch, capsys, command, cfg, flags):
     monkeypatch.chdir(tmp_path)

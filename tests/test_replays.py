@@ -2,8 +2,18 @@
 
 import pytest
 
-from delibsim import ConfigurationError, Metric, Outcome, Point, RuleSpec, VotingRule, winner
+from delibsim import (
+    ConfigurationError,
+    Metric,
+    Outcome,
+    Point,
+    RuleSpec,
+    UnsupportedSizeError,
+    VotingRule,
+    winner,
+)
 from delibsim.replays import (
+    MAX_ESCAPE_ITERATIONS,
     REPLAY_NAMES,
     example3_script,
     example4_script,
@@ -24,6 +34,12 @@ def test_replay_names_all_pass():
         assert result.passed, (name, result.failures)
         assert result.failures == ()
         assert result.lines
+
+
+def test_escape_scripts_refuse_a_count_above_the_limit():
+    for script in (example3_script, example4_script):
+        with pytest.raises(UnsupportedSizeError):
+            script(MAX_ESCAPE_ITERATIONS + 1)
 
 
 def test_replay_unknown_name():

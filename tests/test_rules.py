@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delibsim import (
@@ -13,10 +13,14 @@ from delibsim import (
     Point,
     Profile,
     RuleSpec,
+    UnsupportedSizeError,
     VotingRule,
     winner,
 )
+from delibsim.analysis import BRUTEFORCE_MAX_CANDIDATES, kemeny_bruteforce
+from delibsim.cli import EXIT_ERROR, main
 from delibsim.rules import (
+    KEMENY_MAX_CANDIDATES,
     bitwise_majority,
     candidate_scores,
     floor_mean_elementwise,
@@ -144,6 +148,28 @@ def test_kemeny_minimizes_total_inversions():
         best = kemeny_ranking(p).ranking
         cost = lambda r: sum(kendall_tau(r, q.ranking) for q in p.points)
         assert cost(best) == min(cost(r) for r in itertools.permutations(range(4)))
+
+
+def test_kemeny_single_candidate():
+    assert kemeny_ranking(ranking_profile(1, (0,), (0,))).ranking == (0,)
+
+
+def test_kemeny_at_the_size_limit_returns_a_ranking():
+    m = KEMENY_MAX_CANDIDATES
+    p = ranking_profile(m, tuple(range(m)), tuple(reversed(range(m))), tuple(range(1, m)) + (0,))
+    assert sorted(kemeny_ranking(p).ranking) == list(range(m))
+
+
+def test_kemeny_above_the_size_limit_is_refused(capsys):
+    m = KEMENY_MAX_CANDIDATES + 1
+    with pytest.raises(UnsupportedSizeError):
+        kemeny_ranking(ranking_profile(m, tuple(range(m))))
+    code = main(["run", "--space", "ranking", "--distance", "swap", "--rule", "kemeny",
+                 "--m", str(m), "--n", "3"])
+    assert code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- scoring rules -----------------------------------------------------------
@@ -296,3 +322,14 @@ def test_kemeny_never_beaten_by_any_permutation(m, n, data):
     best = kemeny_ranking(p).ranking
     cost = lambda r: sum(kendall_tau(r, q.ranking) for q in p.points)
     assert all(cost(best) <= cost(r) for r in itertools.permutations(range(m)))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(1, BRUTEFORCE_MAX_CANDIDATES), st.data())
+def test_kemeny_matches_the_bruteforce_oracle(m, data):
+    # a few distinct ballots, repeated, so that equal costs come up often
+    ballots = data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+    rows = data.draw(st.lists(st.sampled_from(ballots), min_size=1, max_size=8))
+    order = data.draw(st.permutations(range(m)))
+    p = ranking_profile(m, *rows)
+    assert kemeny_ranking(p, order) == kemeny_bruteforce(p, order)
