@@ -33,7 +33,7 @@ from .rules import (
     tiebreak_positions,
     winner,
 )
-from .spaces import EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec, dist
+from .spaces import Family, Metric, Point, SpaceSpec, dist, points_equal
 
 BALL_TOL = 1e-9
 BRUTEFORCE_MAX_CANDIDATES = 6
@@ -199,20 +199,15 @@ def iteration_bound(
 
 
 def winner_stability(trace: Sequence) -> bool:
-    """True when every record in the trace carries the same winner."""
+    """True when every record in the trace carries the same winner, by ``points_equal``."""
     if not trace:
         raise ConfigurationError("winner stability needs a non-empty trace")
     w0 = trace[0].winner
-    if w0.real_vector is not None:
-        return all(
-            len(r.winner.real_vector) == len(w0.real_vector)
-            and all(
-                abs(a - b) <= EUCLIDEAN_EQ_TOL
-                for a, b in zip(r.winner.real_vector, w0.real_vector)
-            )
-            for r in trace
-        )
-    return all(r.winner.values == w0.values for r in trace)
+    if w0.real_vector is None:
+        return all(r.winner.values == w0.values for r in trace)
+    # points_equal reads only the family, so any real-vector metric will do
+    space = SpaceSpec(Family.EUCLIDEAN, Metric.L2, dimension=len(w0.real_vector))
+    return all(points_equal(space, r.winner, w0) for r in trace)
 
 
 def _inversion_cost(ballot: Sequence[int], ranking: Sequence[int]) -> int:

@@ -13,7 +13,9 @@ bit:
 * Euclidean distances use ``math.hypot`` and the straight-line norm uses
   ``** 0.5``, which differs from ``np.sqrt`` in the last bit on some inputs;
 * everything else (differences, scaling, clipping, comparisons, maxima,
-  medians, counts) is exact elementwise work that numpy does in one pass.
+  medians, counts) is exact elementwise work that numpy does in one pass;
+  tolerance comparisons go through ``spaces.differs`` and ``spaces.exceeds``,
+  the functions the per-agent code uses.
 
 Which configurations take this path is decided in ``engine.run``.  The
 trace writer reads states through ``to_json`` (ballots) and ``StateJson``
@@ -30,7 +32,7 @@ import numpy as np
 
 from .policies import ConstraintMode, L1Mode
 from .rules import Profile, VotingRule
-from .spaces import EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec
+from .spaces import Family, Metric, Point, SpaceSpec, differs, exceeds
 
 _BALLOT = np.uint8
 
@@ -184,7 +186,6 @@ def failing(
     The same comparisons as ``check_constraints`` and ``validate_point``,
     on the same distances, ``d_before`` reused from before the move.
     """
-    tol = EUCLIDEAN_EQ_TOL if space.family is Family.EUCLIDEAN else 0
     if space.family is Family.BINARY:
         bad = (after > 1).any(axis=1)
     else:
@@ -194,21 +195,16 @@ def failing(
     d_after = distances(space, after, w)
     target = np.maximum(0.0, d_before - epsilon)
     if mode is ConstraintMode.APPROACH_ONLY:
-        bad |= d_after > target + tol
+        bad |= exceeds(space, d_after, target)
         return np.flatnonzero(bad)
     shift = distances(space, before, after)
-    bad |= np.abs(d_after - target) > tol
-    bad |= np.where(d_after <= tol, shift > epsilon + tol, np.abs(shift - epsilon) > tol)
+    bad |= differs(space, d_after, target)
+    bad |= np.where(
+        exceeds(space, d_after, 0), differs(space, shift, epsilon), exceeds(space, shift, epsilon)
+    )
     return np.flatnonzero(bad)
 
 
 def moved(space: SpaceSpec, before: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Per agent, whether it moved: ``not points_equal(before, after)``."""
-    if space.family is Family.BINARY:
-        return (before != after).any(axis=1)
-    return ~(np.abs(before - after) <= EUCLIDEAN_EQ_TOL).all(axis=1)
-
-
-def is_consensus(space: SpaceSpec, state: np.ndarray) -> bool:
-    """``engine.is_consensus`` for a state array."""
-    return not moved(space, state[:1], state).any()
+    return differs(space, before, after).any(axis=1)

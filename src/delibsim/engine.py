@@ -6,8 +6,9 @@ iteration).  A run ends in one of three ways:
 
 * CONVERGED  - an iteration moved nobody, which means every agent sits on
   the winner, i.e. the profile is a consensus;
-* CYCLE      - a discrete profile reappeared (period and first index are
-  reported);
+* CYCLE      - a profile reappeared (period and first index are reported);
+  runs on discrete spaces are always checked for this, real-vector runs
+  never;
 * CAP_REACHED - the iteration budget ran out; a growth flag reports whether
   the winner was still drifting monotonically away from where it started.
 
@@ -59,7 +60,7 @@ from .policies import (
 )
 from .rules import Profile, RuleSpec, VotingRule
 from .spaces import (
-    EUCLIDEAN_EQ_TOL, Family, Metric, Point, SpaceSpec, dist, points_equal, validate_point
+    Family, Metric, Point, SpaceSpec, dist, exceeds, points_equal, validate_point
 )
 
 #: fallback iteration budget when no initial distance is available
@@ -90,15 +91,13 @@ class EngineConfig:
     policy: PolicySpec = field(default_factory=PolicySpec)
     epsilon: float = 1.0
     max_iters: Optional[int] = None
-    cycle_detection: Optional[bool] = None
     growth_window: int = DEFAULT_GROWTH_WINDOW
 
     def __post_init__(self) -> None:
         space, rule, policy = self.space, self.rule, self.policy
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ConfigurationError(f"step size must be positive and finite, got {self.epsilon}")
-        discrete = space.family is not Family.EUCLIDEAN
-        if discrete and self.epsilon != int(self.epsilon):
+        if space.family is not Family.EUCLIDEAN and self.epsilon != int(self.epsilon):
             raise ConfigurationError("discrete spaces need an integer step size")
         rules_mod.require_compatible(rule, space)
         if (
@@ -129,10 +128,6 @@ class EngineConfig:
                     "integer lattices need the taxicab metric with coordinate-order "
                     "moves (any metric works in one dimension)"
                 )
-        if self.cycle_detection and not discrete:
-            raise ConfigurationError("cycle detection applies only to discrete spaces")
-        if self.cycle_detection is None:
-            object.__setattr__(self, "cycle_detection", discrete)
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigurationError("the iteration budget must be at least 1")
         if self.growth_window < 1:
@@ -218,12 +213,6 @@ def _state_key(state) -> object:
     if isinstance(state, np.ndarray):
         return state.tobytes()
     return tuple(p.values for p in state.points)
-
-
-def _state_is_consensus(state, config: EngineConfig) -> bool:
-    if isinstance(state, np.ndarray):
-        return arrays.is_consensus(config.space, state)
-    return is_consensus(state)
 
 
 def _referee(
@@ -361,10 +350,10 @@ def _terminal_record(
     return IterationRecord(index, state.points, w, distances)
 
 
-def _default_max_iters(distances: tuple[float, ...], epsilon: float) -> int:
+def _default_max_iters(space: SpaceSpec, distances: tuple[float, ...], epsilon: float) -> int:
     """The budget for a run whose first state has these distances to its winner."""
     far = max(distances)
-    if far <= EUCLIDEAN_EQ_TOL:
+    if not exceeds(space, far, 0):
         return DEFAULT_MAX_ITERS
     return max(1, CAP_MULTIPLIER * math.ceil(far / epsilon))
 
@@ -398,7 +387,7 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
         advance = lambda state, j: step(state, config, policy=mover, iteration=j, winner=winner)
     max_iters = config.max_iters
     trace: list[IterationRecord] = []
-    seen = {_state_key(state): 0} if config.cycle_detection else None
+    seen = {_state_key(state): 0} if config.space.family is not Family.EUCLIDEAN else None
     outcome = Outcome.CAP_REACHED
     point = None
     cycle_period = None
@@ -408,7 +397,7 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
         next_state, record = advance(state, j)
         trace.append(record)
         if max_iters is None:
-            max_iters = _default_max_iters(record.distances, config.epsilon)
+            max_iters = _default_max_iters(config.space, record.distances, config.epsilon)
         if not any(record.moved):
             outcome = Outcome.CONVERGED
             point = record.winner
@@ -428,7 +417,7 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
         terminal = _terminal_record(state, config, max_iters, winner)
         trace.append(terminal)
         # consensus reached on the budget's last step still counts
-        if _state_is_consensus(state, config):
+        if is_consensus(Profile.of_checked(config.space, terminal.points)):
             outcome = Outcome.CONVERGED
             point = terminal.winner
     growth = _growth_detected(trace, config) if outcome is Outcome.CAP_REACHED else None

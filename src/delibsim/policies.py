@@ -28,15 +28,16 @@ from typing import Optional
 
 from .errors import ConfigurationError, InfeasibleStepError
 from .spaces import (
-    EUCLIDEAN_EQ_TOL,
     Family,
     Metric,
     Point,
     SpaceSpec,
+    differs,
     dist,
     dist_first_changed,
     dist_hamming,
     dist_swap,
+    exceeds,
 )
 
 
@@ -84,14 +85,18 @@ def _as_step_count(epsilon: float) -> int:
     return step
 
 
-def move_l2(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
-    """Straight-line move; the unique point satisfying both laws."""
-    gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    d = sum(g * g for g in gaps) ** 0.5
+def _scaled_move(v: Point, w: Point, gaps: list, d: float, epsilon: float) -> Point:
+    """``w`` when within ``epsilon``, else ``v`` moved ``epsilon / d`` of each gap."""
     if d <= epsilon:
         return w
     f = epsilon / d
     return Point.reals(a + f * g for a, g in zip(v.real_vector, gaps))
+
+
+def move_l2(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
+    """Straight-line move; the unique point satisfying both laws."""
+    gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
+    return _scaled_move(v, w, gaps, sum(g * g for g in gaps) ** 0.5, epsilon)
 
 
 def move_l1(
@@ -101,11 +106,8 @@ def move_l1(
     spread it proportionally to each coordinate's gap."""
     gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
     d = sum(abs(g) for g in gaps)
-    if d <= epsilon:
-        return w
-    if mode is L1Mode.PROPORTIONAL:
-        f = epsilon / d
-        return Point.reals(a + f * g for a, g in zip(v.real_vector, gaps))
+    if d <= epsilon or mode is L1Mode.PROPORTIONAL:
+        return _scaled_move(v, w, gaps, d, epsilon)
     out = list(v.real_vector)
     budget = epsilon
     for i, g in enumerate(gaps):
@@ -120,11 +122,7 @@ def move_l1(
 def move_linf(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
     """Straight-line move scaled so the largest coordinate change is epsilon."""
     gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    d = max(abs(g) for g in gaps)
-    if d <= epsilon:
-        return w
-    f = epsilon / d
-    return Point.reals(a + f * g for a, g in zip(v.real_vector, gaps))
+    return _scaled_move(v, w, gaps, max(abs(g) for g in gaps), epsilon)
 
 
 def move_hamming(
@@ -247,35 +245,34 @@ def check_constraints(
     """Return None if the move obeys the active laws, else a description.
 
     Never raises for a bad move; the description carries the numbers.
-    Real-vector comparisons use EUCLIDEAN_EQ_TOL; discrete ones are exact.
-    ``d_before`` is d(before, winner) when the caller already has it; None
-    computes it here.
+    Comparisons go through ``spaces.differs`` and ``spaces.exceeds``, which
+    own the tolerance.  ``d_before`` is d(before, winner) when the caller
+    already has it; None computes it here.
     """
-    tol = EUCLIDEAN_EQ_TOL if space.family is Family.EUCLIDEAN else 0
     if d_before is None:
         d_before = dist(space, before, winner)
     d_after = dist(space, after, winner)
     target = max(0.0, d_before - epsilon)
     if mode is ConstraintMode.APPROACH_ONLY:
-        if d_after > target + tol:
+        if exceeds(space, d_after, target):
             return (
                 f"approach law violated: distance to winner is {d_after}, "
                 f"needed at most {target} (excess {d_after - target})"
             )
         return None
-    if abs(d_after - target) > tol:
+    if differs(space, d_after, target):
         return (
             f"approach law violated: distance to winner is {d_after}, "
             f"expected exactly {target} (off by {abs(d_after - target)})"
         )
     moved = dist(space, before, after)
-    if d_after <= tol:
-        if moved > epsilon + tol:
+    if not exceeds(space, d_after, 0):
+        if exceeds(space, moved, epsilon):
             return (
                 f"displacement law violated: moved {moved}, "
                 f"allowed at most {epsilon} when landing on the winner"
             )
-    elif abs(moved - epsilon) > tol:
+    elif differs(space, moved, epsilon):
         return f"displacement law violated: moved {moved}, expected exactly {epsilon}"
     return None
 

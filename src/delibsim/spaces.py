@@ -10,9 +10,10 @@ A point is validated once, where it enters the program: ``Profile`` and
 and the engine's referee checks each proposed move.  The distance functions
 take valid points of their space and do not check them again.
 
-Point equality in real-vector spaces is tolerance-based (two coordinates
-closer than ``EUCLIDEAN_EQ_TOL`` count as equal); discrete families compare
-exactly.
+This module owns the tolerance: every comparison of coordinates, distances
+or step lengths goes through ``differs`` and ``exceeds``, which take Python
+numbers and numpy arrays alike.  Real values within ``EUCLIDEAN_EQ_TOL``
+count as equal; discrete ones compare exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConfigurationError, InvalidPointError
 
-#: absolute per-coordinate tolerance for "same point" in real-vector spaces
+#: absolute tolerance for real values: coordinates, distances and step lengths
 EUCLIDEAN_EQ_TOL = 1e-9
 
 
@@ -241,13 +242,26 @@ def dist(space: SpaceSpec, x: Point, y: Point) -> float:
     return dist_first_changed(space, x, y)
 
 
+#: the largest gap between two values of a family that still counts as none
+_TOLERANCE = {Family.EUCLIDEAN: EUCLIDEAN_EQ_TOL, Family.BINARY: 0, Family.RANKING: 0}
+
+
+def differs(space: SpaceSpec, a, b):
+    """``abs(a - b)`` above the space's tolerance; elementwise for arrays."""
+    return abs(a - b) > _TOLERANCE[space.family]
+
+
+def exceeds(space: SpaceSpec, a, b):
+    """``a`` above ``b`` by more than the space's tolerance; elementwise for arrays."""
+    return a > b + _TOLERANCE[space.family]
+
+
 def points_equal(space: SpaceSpec, x: Point, y: Point) -> bool:
-    """Equality under the space's convention: exact for discrete families,
-    within EUCLIDEAN_EQ_TOL per coordinate for real vectors."""
+    """Equality under the space's convention: no coordinate ``differs``."""
     if space.family is Family.EUCLIDEAN:
         if len(x.real_vector) != len(y.real_vector):
             return False
-        return all(abs(a - b) <= EUCLIDEAN_EQ_TOL for a, b in zip(x.real_vector, y.real_vector))
+        return not any(differs(space, a, b) for a, b in zip(x.real_vector, y.real_vector))
     return x.values == y.values
 
 

@@ -38,15 +38,6 @@ from .profiles import GeneratorSpec, generate, worst_case_swf, worst_case_vnw
 from .rules import Profile, RuleSpec, VotingRule
 from .spaces import Family, Metric, Point, SpaceSpec
 
-CHECK_NAMES = (
-    "exact-count",
-    "mean-convergence",
-    "potential",
-    "first-changed-timing",
-    "kemeny-oracle",
-)
-
-
 @dataclass(frozen=True)
 class CheckRow:
     check: str
@@ -70,7 +61,7 @@ def _euclidean_case(seed: int, metric: Metric, rule: VotingRule):
     epsilon = (0.5, 1.0, 2.5)[seed % 3]
     space = SpaceSpec(Family.EUCLIDEAN, metric, dimension=dim)
     profile = generate(GeneratorSpec(space, n=n, seed=seed * 31 + 1))
-    return space, RuleSpec(rule), profile, epsilon, PolicySpec()
+    return space, RuleSpec(rule), profile, epsilon
 
 
 def _vnw_case(seed: int):
@@ -79,7 +70,8 @@ def _vnw_case(seed: int):
     epsilon = 1 + seed % 3
     space = SpaceSpec(Family.BINARY, Metric.HAMMING, num_candidates=m)
     profile = generate(GeneratorSpec(space, n=n, seed=seed * 31 + 2))
-    return space, RuleSpec(VotingRule.MAJORITY), profile, float(epsilon), PolicySpec()
+    return space, RuleSpec(VotingRule.MAJORITY), profile, float(epsilon)
+
 
 def _mw_case(seed: int):
     m = 5 + seed % 5
@@ -88,7 +80,7 @@ def _mw_case(seed: int):
     space = SpaceSpec(Family.BINARY, Metric.HAMMING, num_candidates=m, committee_size=k)
     profile = generate(GeneratorSpec(space, n=n, seed=seed * 31 + 3))
     rule = RuleSpec(VotingRule.TOPK_MAJORITY, _identity(m))
-    return space, rule, profile, 2.0, PolicySpec()
+    return space, rule, profile, 2.0
 
 
 def _kemeny_case(seed: int):
@@ -98,7 +90,7 @@ def _kemeny_case(seed: int):
     space = SpaceSpec(Family.RANKING, Metric.SWAP, num_candidates=m)
     profile = generate(GeneratorSpec(space, n=n, seed=seed * 31 + 4))
     rule = RuleSpec(VotingRule.KEMENY, _identity(m))
-    return space, rule, profile, float(epsilon), PolicySpec()
+    return space, rule, profile, float(epsilon)
 
 
 _EXACT_CASES: dict[str, Callable] = {
@@ -113,9 +105,9 @@ _EXACT_CASES: dict[str, Callable] = {
 def _check_exact_count(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     for name, build in _EXACT_CASES.items():
-        space, rule, profile, epsilon, policy = build(seed)
+        space, rule, profile, epsilon = build(seed)
         bound = iteration_bound(space, rule, profile, epsilon)
-        config = EngineConfig(space, rule, policy, epsilon=epsilon)
+        config = EngineConfig(space, rule, epsilon=epsilon)
         report = run(profile, config, winner)
         ok = (
             report.outcome is Outcome.CONVERGED
@@ -139,11 +131,9 @@ def _check_exact_count(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
 def _check_mean(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     for name, metric in (("mean-l1", Metric.L1), ("mean-l2", Metric.L2)):
-        space, rule, profile, epsilon, policy = _euclidean_case(
-            seed, metric, VotingRule.MEAN
-        )
+        space, rule, profile, epsilon = _euclidean_case(seed, metric, VotingRule.MEAN)
         bound = iteration_bound(space, rule, profile, epsilon)
-        config = EngineConfig(space, rule, policy, epsilon=epsilon)
+        config = EngineConfig(space, rule, epsilon=epsilon)
         report = run(profile, config, winner)
         sums = [
             sum_distance_to_winner(Profile(space, r.points), r.winner)
@@ -240,48 +230,39 @@ def swf_timing_parameters(seed: int) -> tuple[int, int, VotingRule]:
 
 
 def _check_first_changed(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
-    rows = []
     relaxed = PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY)
-
-    m = 4 + seed % 6
-    movers = 1 + seed % 3
-    epsilon = 1 + seed % 3
-    profile = worst_case_vnw(m, movers, seed * 31 + 6)
-    config = EngineConfig(
-        profile.spec, RuleSpec(VotingRule.MAJORITY), relaxed, epsilon=float(epsilon)
+    m_vnw, epsilon_vnw = 4 + seed % 6, 1 + seed % 3
+    m_swf, epsilon_swf, kind = swf_timing_parameters(seed)
+    cases = (
+        (
+            f"vnw-majority m={m_vnw} eps={epsilon_vnw}",
+            worst_case_vnw(m_vnw, 1 + seed % 3, seed * 31 + 6),
+            RuleSpec(VotingRule.MAJORITY),
+            epsilon_vnw,
+        ),
+        (
+            f"swf-{kind.value} m={m_swf} eps={epsilon_swf}",
+            worst_case_swf(m_swf, kind, seed * 31 + 7),
+            RuleSpec(kind, _identity(m_swf)),
+            epsilon_swf,
+        ),
     )
-    report = run(profile, config, winner)
-    predicted = math.ceil(m / epsilon)
-    ok = report.outcome is Outcome.CONVERGED and report.moving_iterations == predicted
-    rows.append(
-        CheckRow(
-            "first-changed-timing",
-            f"vnw-majority m={m} eps={epsilon}",
-            seed,
-            ok,
-            f"{report.outcome.value}/{report.moving_iterations}",
-            f"converged/{predicted}",
+    rows = []
+    for name, profile, rule, epsilon in cases:
+        config = EngineConfig(profile.spec, rule, relaxed, epsilon=float(epsilon))
+        report = run(profile, config, winner)
+        predicted = math.ceil(profile.spec.num_candidates / epsilon)
+        ok = report.outcome is Outcome.CONVERGED and report.moving_iterations == predicted
+        rows.append(
+            CheckRow(
+                "first-changed-timing",
+                name,
+                seed,
+                ok,
+                f"{report.outcome.value}/{report.moving_iterations}",
+                f"converged/{predicted}",
+            )
         )
-    )
-
-    m, epsilon, kind = swf_timing_parameters(seed)
-    profile = worst_case_swf(m, kind, seed * 31 + 7)
-    config = EngineConfig(
-        profile.spec, RuleSpec(kind, _identity(m)), relaxed, epsilon=float(epsilon)
-    )
-    report = run(profile, config, winner)
-    predicted = math.ceil(m / epsilon)
-    ok = report.outcome is Outcome.CONVERGED and report.moving_iterations == predicted
-    rows.append(
-        CheckRow(
-            "first-changed-timing",
-            f"swf-{kind.value} m={m} eps={epsilon}",
-            seed,
-            ok,
-            f"{report.outcome.value}/{report.moving_iterations}",
-            f"converged/{predicted}",
-        )
-    )
     return rows
 
 
@@ -313,6 +294,8 @@ _CHECK_RUNNERS: dict[str, Callable[[int, Optional[WinnerFn]], list[CheckRow]]] =
     "first-changed-timing": _check_first_changed,
     "kemeny-oracle": _check_kemeny_oracle,
 }
+
+CHECK_NAMES = tuple(_CHECK_RUNNERS)
 
 
 def _corrupted_winner(rule: RuleSpec, profile: Profile) -> Point:

@@ -152,12 +152,13 @@ def reference_run(initial, config):
             else max(1, CAP_MULTIPLIER * math.ceil(far / config.epsilon))
         )
     mover = MovePolicy(space, config.policy)
+    cycles = space.family is not Family.EUCLIDEAN
     seen = {}
     trace = []
     profile = initial
     outcome, point, period, first = Outcome.CAP_REACHED, None, None, None
     for j in range(max_iters):
-        if config.cycle_detection:
+        if cycles:
             seen[tuple(p.values for p in profile.points)] = j
         nxt, record = step(profile, config, policy=mover, iteration=j)
         trace.append(record)
@@ -166,7 +167,7 @@ def reference_run(initial, config):
             break
         profile = nxt
         key = tuple(p.values for p in profile.points)
-        if config.cycle_detection and key in seen:
+        if cycles and key in seen:
             outcome, first = Outcome.CYCLE, seen[key]
             period = j + 1 - first
             trace.append(observe(profile, j + 1))

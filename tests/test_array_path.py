@@ -29,6 +29,7 @@ from delibsim import (
     RuleSpec,
     VotingRule,
     generate,
+    points_equal,
     run,
     step,
     write_trace_jsonl,
@@ -269,3 +270,55 @@ def test_array_referee_reports_non_finite_points(mode, bad):
     per_agent, array = _both_referees(profile, config, targets)
     assert per_agent == array
     assert array[0] is InvalidPointError
+
+
+#: (multiple of EUCLIDEAN_EQ_TOL, whether an error that large is refused)
+_TOLERANCE_EDGE = ((0.5, False), (2.0, True))
+
+
+def _off_by(law, e):
+    """(step size, agent 0's move from (0, 2) toward (2, 2)) with one law off by ``e``."""
+    h = e / 2
+    return {
+        "approach": (1.0, (1.0 - h, 2.0 + h)),  # ends 1 + e away, displaced by 1
+        "displacement": (1.0, (1.0 + h, 2.0 + h)),  # ends 1 away, displaced by 1 + e
+        "landing": (2.0, (2.0 - h, 2.0 + h)),  # ends e away from the winner it should reach
+    }[law]
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("law", ["approach", "displacement", "landing"])
+@pytest.mark.parametrize("factor, too_far", _TOLERANCE_EDGE)
+def test_referees_agree_at_the_tolerance_edge(mode, law, factor, too_far):
+    # the median of the four agents is (2, 2); every agent is 2 away under l1
+    space = euclidean(Metric.L1, 2)
+    start = [(0.0, 2.0), (2.0, 0.0), (2.0, 4.0), (4.0, 2.0)]
+    profile = Profile(space, tuple(Point.reals(p) for p in start))
+    epsilon, off = _off_by(law, factor * EUCLIDEAN_EQ_TOL)
+    if epsilon == 1.0:
+        rest = [(2.0, 1.0), (2.0, 3.0), (3.0, 2.0)]
+    else:  # within reach, the other agents land on the winner
+        rest = [(2.0, 2.0)] * 3
+    targets = tuple(Point.reals(p) for p in [off] + rest)
+    config = EngineConfig(
+        space, RuleSpec(VotingRule.MEDIAN), PolicySpec(constraint_mode=mode), epsilon=epsilon
+    )
+    per_agent, array = _both_referees(profile, config, targets)
+    assert per_agent == array
+    # approach-only checking leaves the displacement law unchecked
+    refused = too_far and (law != "displacement" or mode is ConstraintMode.STRICT)
+    if refused:
+        assert array[:3] == (ConstraintViolationError, 0, 3)
+    else:
+        assert array is None
+
+
+@pytest.mark.parametrize("factor, apart", _TOLERANCE_EDGE)
+def test_points_equal_and_arrays_moved_agree_at_the_tolerance_edge(factor, apart):
+    space = euclidean(Metric.L2, 2)
+    e = factor * EUCLIDEAN_EQ_TOL
+    for base in ((0.0, 0.0), (1.0, 2.0), (-3.0, 5.0)):
+        for shift in ((e, 0.0), (0.0, -e), (e, e)):
+            other = tuple(b + s for b, s in zip(base, shift))
+            assert points_equal(space, Point.reals(base), Point.reals(other)) is not apart
+            assert arrays.moved(space, np.array([base]), np.array([other])).tolist() == [apart]

@@ -120,15 +120,6 @@ def test_config_lattice_restrictions():
     )
 
 
-def test_config_cycle_detection_defaults():
-    cont = EngineConfig(euclidean(Metric.L2, 1), RuleSpec(VotingRule.MEAN))
-    assert cont.cycle_detection is False
-    disc = EngineConfig(binary(Metric.HAMMING, 3), RuleSpec(VotingRule.MAJORITY))
-    assert disc.cycle_detection is True
-    with pytest.raises(ConfigurationError):
-        EngineConfig(euclidean(Metric.L2, 1), RuleSpec(VotingRule.MEAN), cycle_detection=True)
-
-
 def test_config_budget_and_window_guards():
     space = euclidean(Metric.L2, 1)
     with pytest.raises(ConfigurationError):
@@ -288,6 +279,19 @@ def test_run_cycle_detected_via_override():
     assert report.cycle_period == 2
     assert report.cycle_first_index == 0
     assert report.point is None
+
+
+def test_run_looks_for_cycles_only_on_discrete_spaces():
+    # a winner far right, then far left: the two agents step right, then back,
+    # so the profile repeats every two states, but real-vector runs are never
+    # checked for cycles and use their whole budget
+    profile = line_profile(0, 10)
+    flip = lambda rule, prof: Point.reals((20.0 if prof.points[0].real_vector[0] == 0 else -20.0,))
+    config = EngineConfig(profile.spec, RuleSpec(VotingRule.MEAN), max_iters=6)
+    report = run(profile, config, winner=flip)
+    assert report.outcome is Outcome.CAP_REACHED
+    assert report.cycle_period is None
+    assert report.states == 7
 
 
 def test_run_growth_detected_on_receding_winner():
