@@ -1,10 +1,12 @@
 """Array kernels for the engine's array path.
 
 A state is one array per iteration: ``(n, d)`` float64 rows for real
-vectors, ``(n, m)`` uint8 rows of 0/1 entries for ballots.  Every kernel
-computes what the per-agent code computes for each row, with the same
-floating-point operations in the same order, so results match it bit for
-bit:
+vectors, ``(n, m)`` uint8 rows of 0/1 entries for ballots.  A scripted run
+stacks its states as ``(T, n, d)``: ``winner`` takes the stack, and the
+other kernels take its rows flattened to ``(T * n, d)`` with one winner row
+per agent.  Every kernel computes what the per-agent code computes for each
+row, with the same floating-point operations in the same order, so results
+match it bit for bit:
 
 * sums that the per-agent code takes with ``sum`` (taxicab distances, the
   straight-line norm inside ``move_l2``, the mean) go through ``sum`` here
@@ -113,13 +115,18 @@ def _sums(rows: np.ndarray) -> np.ndarray:
 
 
 def winner(rule: VotingRule, state: np.ndarray) -> np.ndarray:
-    """The rule's winner as one row; same value as ``rules.winner``."""
-    n = len(state)
+    """The rule's winner as one row; same value as ``rules.winner``.
+
+    Agents run along axis -2, so a stack of states, ``(T, n, d)``, gives
+    one winner row per state, ``(T, d)``.
+    """
+    n = state.shape[-2]
     if rule is VotingRule.MAJORITY:
-        return (2 * state.sum(axis=0, dtype=np.int64) >= n).astype(_BALLOT)
+        return (2 * state.sum(axis=-2, dtype=np.int64) >= n).astype(_BALLOT)
     if rule is VotingRule.MEDIAN:
-        return np.partition(state, n // 2, axis=0)[n // 2]
-    mean = _sums(state.T) / n
+        return np.partition(state, n // 2, axis=-2)[..., n // 2, :]
+    columns = np.swapaxes(state, -1, -2)
+    mean = _sums(columns.reshape(-1, n)).reshape(columns.shape[:-1]) / n
     return np.floor(mean) if rule is VotingRule.FLOOR_MEAN else mean
 
 

@@ -17,7 +17,7 @@ distance to it, and which agents moved.  Every proposed move is refereed
 before it is taken: the new point must belong to the space and the move
 must pass ``check_constraints``; a move that fails raises.
 
-``run`` advances the state in one of two ways, chosen from the config alone:
+``run`` advances the state in one of three ways, chosen from the config alone:
 
 * the array path, for the default policy on real vectors (every rule and
   metric, both taxicab move modes, integer lattices included) and on
@@ -27,10 +27,17 @@ must pass ``check_constraints``; a move that fails raises.
   same arithmetic as the per-agent code, and the first agent that fails
   is reported by ``step``'s own referee, so errors read the same.
   Records keep the state array and build ``points`` anew on each access;
-* the per-agent path, ``step``, for everything else: scripted and
-  seeded-random policies, committee ballots, rankings, the
+* the whole-script path, for a real-vector script (one ``(T + 1, n, d)``
+  array, see ``delibsim.policies``).  Every state is known before the run
+  starts, so the states' winners and distances, and the moves' verdicts and
+  moved flags, are computed over a block of stacked states at once; the run
+  ends at the first iteration with a failing move (re-judged by ``step``'s
+  referee), the first that moves nobody, or the budget.  Records read
+  their state, a view of the script, and the rest from those arrays;
+* the per-agent path, ``step``, for everything else: ballot and ranking
+  scripts, seeded-random policies, committee ballots, rankings, the
   deepest-disagreement metric, and any run given a winner function.
-  ``step`` is also the reference the array path is tested against.
+  ``step`` is also the reference both other paths are tested against.
 
 Each state's winner and distances are computed once: the referee judges
 each move against the recorded distance, and the default budget is sized
@@ -57,6 +64,7 @@ from .policies import (
     PolicyKind,
     PolicySpec,
     check_constraints,
+    require_next_entry,
 )
 from .rules import Profile, RuleSpec, VotingRule
 from .spaces import (
@@ -133,8 +141,28 @@ class EngineConfig:
         if self.growth_window < 1:
             raise ConfigurationError("the growth window must be at least 1")
         if policy.kind is PolicyKind.SCRIPTED:
-            for entry in policy.script:
-                Profile(space, entry)  # raises InvalidPointError for a point off the space
+            _check_script(space, policy.script)
+
+
+def _check_script(space: SpaceSpec, script) -> None:
+    """Raise as ``Profile`` does for the first script entry that is not a
+    profile of ``space``, or if the entries list different numbers of agents;
+    an array script is checked in one pass."""
+    if not isinstance(script, np.ndarray):
+        for entry in script:
+            Profile(space, entry)
+        if len({len(entry) for entry in script}) > 1:
+            raise ConfigurationError("every script entry must list the same number of agents")
+        return
+    agents, dimension = script.shape[1:]
+    if space.family is not Family.EUCLIDEAN or agents == 0 or dimension != space.dimension:
+        Profile(space, script[0])  # raises: no entry fits the space
+    ok = np.isfinite(script)
+    if space.integer_lattice:
+        ok &= script == np.floor(script)
+    bad = np.flatnonzero(~ok.all(axis=(1, 2)))
+    if len(bad):
+        Profile(space, script[bad[0]])
 
 
 class IterationRecord:
@@ -184,6 +212,38 @@ class IterationRecord:
         names = ("index", "points", "winner", "distances", "moved")
         body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
         return f"IterationRecord({body})"
+
+
+class _ScriptRecord(IterationRecord):
+    """A record of a whole-script run: row ``index`` of the run's stacked
+    states, winners, distances and moved flags, each read on access.
+
+    A long scripted trace then holds one small object per state; the
+    base class's stored fields stay unset.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, index: int, rows: tuple[np.ndarray, ...]) -> None:
+        self.index = index
+        self._rows = rows
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._rows[0][self.index]
+
+    @property
+    def winner(self) -> Point:
+        return arrays.point(self._rows[1][self.index])
+
+    @property
+    def distances(self) -> tuple[float, ...]:
+        return tuple(self._rows[2][self.index].tolist())
+
+    @property
+    def moved(self) -> Optional[tuple[bool, ...]]:
+        moved = self._rows[3]
+        return tuple(moved[self.index].tolist()) if self.index < len(moved) else None
 
 
 @dataclass(frozen=True)
@@ -369,15 +429,23 @@ def _growth_detected(trace: list[IterationRecord], config: EngineConfig) -> bool
     return all(a < b for a, b in zip(drift, drift[1:]))
 
 
-def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = None) -> RunReport:
-    """Iterate from ``initial`` until consensus, a cycle, or the budget cap.
+#: how a run ended: its trace, outcome, consensus point and (first index, period) of a cycle
+_Ending = tuple[list[IterationRecord], Outcome, Optional[Point], Optional[tuple[int, int]]]
 
-    ``winner`` picks each state's winner, ``rules.winner`` when None; a run
-    given one takes the per-agent path, so it sees every state.
-    """
-    if initial.spec != config.space:
-        raise ConfigurationError("the profile's space differs from the configured space")
-    started = time.perf_counter()
+
+def _capped(
+    trace: list[IterationRecord], terminal: IterationRecord, config: EngineConfig
+) -> _Ending:
+    """The ending of a run whose budget ran out at ``terminal``."""
+    trace.append(terminal)
+    # consensus reached on the budget's last step still counts
+    if is_consensus(Profile.of_checked(config.space, terminal.points)):
+        return trace, Outcome.CONVERGED, terminal.winner, None
+    return trace, Outcome.CAP_REACHED, None, None
+
+
+def _iterate(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn]) -> _Ending:
+    """Advance one state at a time until consensus, a cycle, or the budget."""
     if winner is None and _takes_array_path(config):
         state = arrays.from_profile(initial)
         advance = lambda state, j: _array_step(state, config, j)
@@ -388,10 +456,6 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
     max_iters = config.max_iters
     trace: list[IterationRecord] = []
     seen = {_state_key(state): 0} if config.space.family is not Family.EUCLIDEAN else None
-    outcome = Outcome.CAP_REACHED
-    point = None
-    cycle_period = None
-    cycle_first = None
     j = 0
     while max_iters is None or j < max_iters:
         next_state, record = advance(state, j)
@@ -399,27 +463,101 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
         if max_iters is None:
             max_iters = _default_max_iters(config.space, record.distances, config.epsilon)
         if not any(record.moved):
-            outcome = Outcome.CONVERGED
-            point = record.winner
-            break
+            return trace, Outcome.CONVERGED, record.winner, None
         state = next_state
         j += 1
         if seen is not None:
             key = _state_key(state)
             if key in seen:
-                outcome = Outcome.CYCLE
-                cycle_first = seen[key]
-                cycle_period = j - cycle_first
                 trace.append(_terminal_record(state, config, j, winner))
-                break
+                return trace, Outcome.CYCLE, None, (seen[key], j - seen[key])
             seen[key] = j
+    return _capped(trace, _terminal_record(state, config, max_iters, winner), config)
+
+
+#: agent-states (rows of the stacked states) a whole-script run judges at a
+#: time, which bounds its temporary arrays and lists
+SCRIPT_BLOCK_ROWS = 4096
+
+
+def _run_script(initial: Profile, config: EngineConfig, budget: Optional[int]) -> _Ending:
+    """The whole run of an array script, evaluated a block of states at a time.
+
+    Each block's winners and distances, and its moves' verdicts and moved
+    flags, are computed over the stacked states at once.  The run ends at the
+    first iteration with a failing move (re-judged by ``_referee``, which
+    raises), the first that moves nobody, or ``budget`` iterations (the
+    default budget when None); a script too short for the iteration that
+    needs its next state raises as ``MovePolicy`` does.
+    """
+    space, rule, epsilon = config.space, config.rule.rule, config.epsilon
+    if budget is None:
+        # as in ``_iterate``, iteration 0 is judged before its distances
+        # size the budget, so its errors come first
+        trace = _run_script(initial, config, 1)[0]
+        budget = _default_max_iters(space, trace[0].distances, epsilon)
+    script = config.policy.script
+    first = arrays.from_profile(initial)
+    n, d = first.shape
+    last = min(budget, len(script) - 1)  # the last state the run can reach
+    states = script[: last + 1]
+    if first.tobytes() != states[0].tobytes():
+        states = np.concatenate((first[None], states[1:]))
+    winners, distances = np.empty((last + 1, d)), np.empty((last + 1, n))
+    moved = np.empty((last, n), dtype=bool)
+    stop = last  # the first iteration that moves nobody, if any
+    size = max(1, SCRIPT_BLOCK_ROWS // n)
+    for a in range(0, last + 1, size):
+        block = states[a:a + size]
+        b = a + len(block)
+        winners[a:b] = arrays.winner(rule, block)
+        to = np.repeat(winners[a:b], n, axis=0)
+        distances[a:b] = arrays.distances(space, block.reshape(-1, d), to).reshape(-1, n)
+        steps = min(b, last) - a  # the block's moves: iterations a to a + steps - 1
+        before = block[:steps].reshape(-1, d)
+        after = states[a + 1:a + 1 + steps].reshape(-1, d)
+        bad = arrays.failing(space, config.policy.constraint_mode, before, after,
+                             to[:len(before)], distances[a:a + steps].ravel(), epsilon)
+        moved[a:a + steps] = arrays.moved(space, before, after).reshape(steps, n)
+        idle = np.flatnonzero(~moved[a:a + steps].any(axis=1))
+        if len(idle):
+            stop = a + int(idle[0])
+        for k in bad.tolist():
+            j, i = a + k // n, k % n
+            if j > stop:
+                break
+            _referee(config, i, j, arrays.point(before[k]), arrays.point(after[k]),
+                     arrays.point(winners[j]), distances[j, i].item(), validated=True)
+        if stop < last:
+            break
+    if stop == last and last < budget:
+        require_next_entry(script, last)  # raises: the script ends before the budget
+    rows = (states, winners, distances, moved)
+    trace = [_ScriptRecord(j, rows) for j in range(stop + 1)]
+    if stop < last:
+        return trace, Outcome.CONVERGED, trace[-1].winner, None
+    return _capped(trace[:-1], trace[-1], config)
+
+
+def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = None) -> RunReport:
+    """Iterate from ``initial`` until consensus, a cycle, or the budget cap.
+
+    ``winner`` picks each state's winner, ``rules.winner`` when None; a run
+    given one takes the per-agent path, so it sees every state.
+    """
+    if initial.spec != config.space:
+        raise ConfigurationError("the profile's space differs from the configured space")
+    script = config.policy.script if config.policy.kind is PolicyKind.SCRIPTED else None
+    if script is not None and len(script[0]) != initial.n:
+        raise ConfigurationError(
+            f"the profile has {initial.n} agents, the script {len(script[0])}"
+        )
+    started = time.perf_counter()
+    if winner is None and isinstance(script, np.ndarray):
+        trace, outcome, point, cycle = _run_script(initial, config, config.max_iters)
     else:
-        terminal = _terminal_record(state, config, max_iters, winner)
-        trace.append(terminal)
-        # consensus reached on the budget's last step still counts
-        if is_consensus(Profile.of_checked(config.space, terminal.points)):
-            outcome = Outcome.CONVERGED
-            point = terminal.winner
+        trace, outcome, point, cycle = _iterate(initial, config, winner)
+    cycle_first, cycle_period = cycle or (None, None)
     growth = _growth_detected(trace, config) if outcome is Outcome.CAP_REACHED else None
     moving = sum(1 for r in trace if r.moved and any(r.moved))
     return RunReport(

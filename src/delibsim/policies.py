@@ -15,8 +15,13 @@ distance 1 from w, for instance), so runs over that metric use
 Each space has a deterministic default policy; binary and ranking spaces
 also offer seeded-random variants that pick uniformly among the eligible
 minimal edits.  A scripted policy replays an explicit profile sequence and
-is how the known divergence scenarios are driven.  No policy judges its own
-moves: the engine's referee checks every move, scripted ones included.
+is how the known divergence scenarios are driven.  A real-vector script is
+held as one float64 array of shape ``(T + 1, n, d)``, state by state; a
+script given as profiles of real-vector points is turned into that array
+once, when the ``PolicySpec`` is built.  Ballot and ranking scripts, and
+real-vector ones whose profiles differ in size, stay tuples of point
+profiles.  No policy judges its own moves: the engine's referee checks
+every move, scripted ones included.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .errors import ConfigurationError, InfeasibleStepError
 from .spaces import (
@@ -57,13 +64,48 @@ class ConstraintMode(str, Enum):
     APPROACH_ONLY = "approach_only"
 
 
-@dataclass(frozen=True)
+#: a script: one ``(T + 1, n, d)`` float64 array, or a tuple of point profiles
+Script = Union[np.ndarray, tuple[tuple[Point, ...], ...]]
+
+
+def _script_form(script) -> Script:
+    """``script`` as one read-only float64 array when it is a stack of equal
+    real-vector profiles, else as a tuple of point profiles.
+
+    A read-only float64 array is kept as it is; any other array is copied.
+    """
+    if not isinstance(script, np.ndarray):
+        script = tuple(tuple(profile) for profile in script)
+        if not all(p.real_vector is not None for profile in script for p in profile):
+            return script
+        try:
+            array = np.array([[p.real_vector for p in profile] for profile in script], np.float64)
+        except ValueError:  # profiles or points of different sizes
+            return script
+        if array.ndim != 3:
+            return script
+    elif script.dtype != np.float64 or script.flags.writeable:
+        array = np.array(script, dtype=np.float64)
+    else:
+        array = script
+    if array.ndim != 3:
+        raise ConfigurationError(
+            f"a script array has shape (states, agents, dimension), got {array.shape}"
+        )
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class PolicySpec:
-    """How agents move: default, seeded-random, or scripted replay."""
+    """How agents move: default, seeded-random, or scripted replay.
+
+    Two specs are equal when every field is; array scripts compare bit for bit.
+    """
 
     kind: PolicyKind = PolicyKind.DEFAULT
     seed: Optional[int] = None
-    script: Optional[tuple[tuple[Point, ...], ...]] = None
+    script: Optional[Script] = None
     l1_mode: L1Mode = L1Mode.COORD_ORDER
     constraint_mode: ConstraintMode = ConstraintMode.STRICT
 
@@ -71,11 +113,31 @@ class PolicySpec:
         if self.kind is PolicyKind.SEEDED_RANDOM and self.seed is None:
             raise ConfigurationError("seeded_random policy needs a seed")
         if self.kind is PolicyKind.SCRIPTED:
-            if not self.script:
+            if self.script is None or len(self.script) == 0:
                 raise ConfigurationError("scripted policy needs a script")
-            object.__setattr__(
-                self, "script", tuple(tuple(profile) for profile in self.script)
-            )
+            object.__setattr__(self, "script", _script_form(self.script))
+
+    def _key(self) -> tuple:
+        script = self.script
+        if isinstance(script, np.ndarray):
+            script = (script.shape, script.tobytes())
+        return (self.kind, self.seed, script, self.l1_mode, self.constraint_mode)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolicySpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def require_next_entry(script: Script, iteration: int) -> None:
+    """Raise unless ``script`` holds the profile that follows ``iteration``."""
+    if iteration + 1 >= len(script):
+        raise ConfigurationError(
+            f"script provides {len(script)} profiles, iteration {iteration} needs one more"
+        )
 
 
 def _as_step_count(epsilon: float) -> int:
@@ -314,8 +376,7 @@ class MovePolicy:
     def _scripted(self, iteration: int, agent: int) -> Point:
         """The script's next point for ``agent``; the engine's referee judges the move."""
         script = self.spec.script
-        if iteration + 1 >= len(script):
-            raise ConfigurationError(
-                f"script provides {len(script)} profiles, iteration {iteration} needs one more"
-            )
+        require_next_entry(script, iteration)
+        if isinstance(script, np.ndarray):
+            return Point.reals(script[iteration + 1, agent].tolist())
         return script[iteration + 1][agent]

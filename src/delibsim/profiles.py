@@ -18,10 +18,12 @@ import random
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Union
 
+import numpy as np
+
 from . import arrays
 from .engine import EngineConfig, Outcome, RunReport
 from .errors import ConfigurationError, ParseError
-from .policies import ConstraintMode, L1Mode, PolicyKind, PolicySpec
+from .policies import ConstraintMode, L1Mode, PolicyKind, PolicySpec, Script
 from .rules import NEEDS_TIEBREAK, Profile, RuleSpec, VotingRule
 from .spaces import (
     Family,
@@ -218,7 +220,11 @@ def save_profile(profile: Profile, path: str) -> None:
 
 
 def load_script(path: str, space: SpaceSpec) -> tuple[tuple[Point, ...], ...]:
-    """A script file is an array of profiles, each an array of point literals."""
+    """A script file is an array of profiles, each an array of point literals.
+
+    Each point is parsed and checked as ``point_from_json`` does; a
+    ``PolicySpec`` turns a real-vector script into its array form.
+    """
     obj = load_json(path)
     if not isinstance(obj, list) or not obj:
         raise ParseError("a script must be a non-empty array of profiles")
@@ -335,10 +341,12 @@ def batch_from_json(obj) -> list[dict]:
     ]
 
 
-def save_script(
-    script: Sequence[Sequence[Point]], space: SpaceSpec, path: str
-) -> None:
-    data = [[point_to_json(space, p) for p in profile] for profile in script]
+def save_script(script: Script, space: SpaceSpec, path: str) -> None:
+    """Write a script (see ``load_script``): a ``(T + 1, n, d)`` array or point profiles."""
+    if isinstance(script, np.ndarray):
+        data = script.tolist()
+    else:
+        data = [[point_to_json(space, p) for p in profile] for profile in script]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
         fh.write("\n")

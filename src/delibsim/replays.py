@@ -11,7 +11,8 @@ observed values against the expected ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from .analysis import potential_scoring, potential_stv
 from .engine import DEFAULT_GROWTH_WINDOW, EngineConfig, Outcome, RunReport, run
@@ -39,9 +40,10 @@ SCORING_VECTOR = (2, 2, 5, 1, 0, 2, 0, 1, 2)
 STV_VECTOR = (0, 1, 2, 1, 0, 2, 3, 2, 5)
 
 DEFAULT_ESCAPE_ITERATIONS = 500
-#: an escape replay keeps its script and its trace, about 2 KB and 0.1 ms per
-#: iteration, so a longer one is refused before its script is built
-MAX_ESCAPE_ITERATIONS = 1_000_000
+#: an escape replay peaks at about 0.27 KB (example3) to 0.30 KB (example4) of
+#: memory and takes about 10 us per iteration, so a longer one (over 1.5 GB)
+#: is refused before its script is built
+MAX_ESCAPE_ITERATIONS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -70,33 +72,35 @@ def _check_length(iterations: int) -> None:
         )
 
 
-def example3_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
+def example3_script(iterations: int) -> np.ndarray:
+    """The example3 script: state j has every coordinate of the start moved by +j."""
     _check_length(iterations)
     # a count below 1 keeps the starting profile, so the run reports the budget
-    return tuple(
-        tuple(Point.reals(c + j for c in base) for base in EXAMPLE3_START)
-        for j in range(max(iterations, 0) + 1)
-    )
+    steps = np.arange(max(iterations, 0) + 1, dtype=np.float64)
+    return _read_only(np.array(EXAMPLE3_START) + steps[:, None, None])
 
 
-def example4_script(iterations: int) -> tuple[tuple[Point, ...], ...]:
+#: example4's agents from state 1 on, relative to (j, j, j) in state j
+_EXAMPLE4_OFFSETS = ((-1.0, -1.0, -1.0), (-2.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, -2.0))
+
+
+def example4_script(iterations: int) -> np.ndarray:
+    """The example4 script: the start, then state j at (j, j, j) plus each agent's offset."""
     _check_length(iterations)
-    script = [tuple(Point.reals(base) for base in EXAMPLE4_START)]
-    for j in range(1, iterations + 1):
-        script.append(
-            (
-                Point.reals((j - 1.0, j - 1.0, j - 1.0)),
-                Point.reals((j - 2.0, float(j), float(j))),
-                Point.reals((float(j), j - 2.0, float(j))),
-                Point.reals((float(j), float(j), j - 2.0)),
-            )
-        )
-    return tuple(script)
+    steps = np.arange(1, max(iterations, 0) + 1, dtype=np.float64)
+    moving = np.array(_EXAMPLE4_OFFSETS) + steps[:, None, None]
+    return _read_only(np.concatenate((np.array(EXAMPLE4_START)[None], moving)))
+
+
+def _read_only(script: np.ndarray) -> np.ndarray:
+    """``script``, made read-only so that a ``PolicySpec`` keeps it without a copy."""
+    script.flags.writeable = False
+    return script
 
 
 def _escape_run(
     rule: VotingRule,
-    script: tuple[tuple[Point, ...], ...],
+    script: np.ndarray,
     iterations: int,
 ) -> tuple[RunReport, EngineConfig]:
     space = SpaceSpec(Family.EUCLIDEAN, Metric.LINF, dimension=3)

@@ -9,11 +9,15 @@ exactly what the per-agent referee raises.
 
 import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delibsim import (
+    ConfigurationError,
     ConstraintMode,
     ConstraintViolationError,
     EngineConfig,
@@ -22,6 +26,7 @@ from delibsim import (
     L1Mode,
     Metric,
     MovePolicy,
+    Outcome,
     Point,
     PolicyKind,
     PolicySpec,
@@ -34,7 +39,7 @@ from delibsim import (
     step,
     write_trace_jsonl,
 )
-from delibsim import arrays
+from delibsim import arrays, engine, rules
 from delibsim.engine import check_array_moves
 from delibsim.spaces import EUCLIDEAN_EQ_TOL
 
@@ -322,3 +327,199 @@ def test_points_equal_and_arrays_moved_agree_at_the_tolerance_edge(factor, apart
             other = tuple(b + s for b, s in zip(base, shift))
             assert points_equal(space, Point.reals(base), Point.reals(other)) is not apart
             assert arrays.moved(space, np.array([base]), np.array([other])).tolist() == [apart]
+
+
+# --- scripted real-vector runs, evaluated as one array -----------------------
+
+def _script_outcome(profile, config, runner):
+    """(report, None), or (None, the type, text, agent and iteration of what
+    the run raised); a script can be illegal, too short or off the space, and
+    an infinite spread overflows the default budget."""
+    try:
+        return runner(profile, config), None
+    except (ConfigurationError, ConstraintViolationError, InvalidPointError,
+            OverflowError) as exc:
+        return None, (type(exc), str(exc), getattr(exc, "agent", None),
+                      getattr(exc, "iteration", None))
+
+
+_SCRIPT_RULES = (VotingRule.MEAN, VotingRule.FLOOR_MEAN, VotingRule.MEDIAN)
+_SCRIPT_METRICS = (
+    (Metric.L1, L1Mode.COORD_ORDER),
+    (Metric.L1, L1Mode.PROPORTIONAL),
+    (Metric.L2, L1Mode.COORD_ORDER),
+    (Metric.LINF, L1Mode.COORD_ORDER),
+)
+
+
+@st.composite
+def _scripted_case(draw):
+    """A profile and a scripted config whose script was recorded from a
+    default-policy run, then perhaps perturbed or replayed under another
+    rule, metric or constraint mode."""
+    lattice = draw(st.booleans())
+    size = draw(st.integers(1, 3))
+    if lattice:
+        rule = draw(st.sampled_from((VotingRule.FLOOR_MEAN, VotingRule.MEDIAN)))
+        metric, l1_mode = (Metric.L1, L1Mode.COORD_ORDER) if size > 1 else draw(
+            st.sampled_from(_SCRIPT_METRICS))
+        epsilon = float(draw(st.integers(1, 3)))
+    else:
+        rule = draw(st.sampled_from(_SCRIPT_RULES))
+        metric, l1_mode = draw(st.sampled_from(_SCRIPT_METRICS))
+        epsilon = draw(st.sampled_from((1.0, 2.0, 0.7, 1.3)))
+    space = euclidean(metric, size, lattice=lattice)
+    n = draw(st.integers(2, 7))
+    profile = generate(GeneratorSpec(space, n=n, seed=draw(st.integers(0, 10**6))))
+    recording = EngineConfig(space, RuleSpec(rule), PolicySpec(l1_mode=l1_mode), epsilon=epsilon,
+                             max_iters=draw(st.integers(1, 25)))
+    recorded = run(profile, recording)
+    script = np.array([r.array for r in recorded.trace])
+    if recorded.outcome is Outcome.CONVERGED:  # the state after the idle step
+        script = np.concatenate((script, script[-1:]))
+    if draw(st.integers(0, 2)) == 0:  # replay under another rule or metric
+        if lattice:
+            rule = draw(st.sampled_from((VotingRule.FLOOR_MEAN, VotingRule.MEDIAN)))
+        else:
+            rule = draw(st.sampled_from(_SCRIPT_RULES))
+            metric, l1_mode = draw(st.sampled_from(_SCRIPT_METRICS))
+            space = euclidean(metric, size)
+    step_count = len(script) - 1
+    perturbation = draw(st.sampled_from(("none", "nudge", "stall", "truncate", "consensus")))
+    if perturbation == "nudge" and step_count:
+        j, i, c = (draw(st.integers(1, step_count)), draw(st.integers(0, n - 1)),
+                   draw(st.integers(0, size - 1)))
+        deltas = (1.0, -2.0) if lattice else (1e-12, 5e-10, 2e-9, 1e-3, 0.5, -1.0)
+        script[j, i, c] += draw(st.sampled_from(deltas))
+    elif perturbation == "stall" and step_count:
+        j, i = draw(st.integers(0, step_count - 1)), draw(st.integers(0, n - 1))
+        script[j + 1:, i] = script[j, i]
+    elif perturbation == "truncate":
+        script = script[: draw(st.integers(1, len(script)))]
+    elif perturbation == "consensus":  # the script goes on past its consensus
+        script = np.concatenate([script] + [script[-1:]] * draw(st.integers(1, 3)))
+    max_iters = draw(st.one_of(st.none(), st.integers(1, len(script) + 2)))
+    policy = PolicySpec(PolicyKind.SCRIPTED, script=script, l1_mode=l1_mode,
+                        constraint_mode=draw(st.sampled_from(_MODES)))
+    config = EngineConfig(space, RuleSpec(rule), policy, epsilon=epsilon, max_iters=max_iters,
+                          growth_window=draw(st.integers(1, 8)))
+    return Profile(space, script[0]), config
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_scripted_case(), st.sampled_from((1, 5, 12, engine.SCRIPT_BLOCK_ROWS)))
+def test_whole_script_path_matches_the_per_agent_reference(case, rows):
+    profile, config = case
+    assert isinstance(config.policy.script, np.ndarray)
+    with mock.patch.object(engine, "SCRIPT_BLOCK_ROWS", rows):  # rows judged at once
+        got, got_error = _script_outcome(profile, config, run)
+    want, want_error = _script_outcome(profile, config, reference_run)
+    assert got_error == want_error
+    if want is None:
+        return
+    assert got.trace[0].array is not None
+    assert got.trace == want.trace
+    for name in ("outcome", "point", "moving_iterations", "states", "cycle_period",
+                 "cycle_first_index", "growth_detected"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert _jsonl(got, config.space) == _jsonl(want, config.space)
+
+
+def test_a_script_replays_from_an_initial_profile_that_differs_from_its_first_entry():
+    space = euclidean(Metric.L1, 1)
+    script = np.array([[[0.0], [4.0]], [[1.0], [3.0]], [[2.0], [2.0]], [[2.0], [2.0]]])
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN),
+                          PolicySpec(PolicyKind.SCRIPTED, script=script))
+    for start in ((0.0, 4.0), (-0.0, 4.0), (1.0, 3.0)):
+        profile = Profile(space, tuple(Point.reals((x,)) for x in start))
+        got, got_error = _script_outcome(profile, config, run)
+        want, want_error = _script_outcome(profile, config, reference_run)
+        assert got_error == want_error
+        if want is not None:
+            assert got.trace == want.trace
+            assert _jsonl(got, config.space) == _jsonl(want, config.space)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("entries", [[0], [0, 0], [0, 1]])
+def test_iteration_0_is_judged_before_an_infinite_spread_sizes_the_budget(mode, entries):
+    # two agents 3e308 apart under l-inf: the default budget overflows, but
+    # only after iteration 0's moves and the script's length have been judged
+    space = euclidean(Metric.LINF, 1)
+    states = np.array([[[-1.5e308], [1.5e308]], [[-1.5e308], [0.0]]])
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(
+        PolicyKind.SCRIPTED, script=states[entries], constraint_mode=mode))
+    profile = Profile(space, states[0])
+    got, got_error = _script_outcome(profile, config, run)
+    step_path = lambda p, c: run(p, c, winner=rules.winner)
+    want, want_error = _script_outcome(profile, config, step_path)
+    assert got is want is None
+    assert got_error == want_error
+
+
+@pytest.mark.parametrize("agents", [1, 3])
+def test_a_script_for_another_number_of_agents_is_refused_on_both_paths(agents):
+    space = euclidean(Metric.L1, 1)
+    script = np.array([[[0.0], [4.0]], [[1.0], [3.0]]])
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN),
+                          PolicySpec(PolicyKind.SCRIPTED, script=script))
+    profile = Profile(space, tuple(Point.reals((float(x),)) for x in range(agents)))
+    for winner in (None, rules.winner):  # the whole-script path, then step
+        with pytest.raises(ConfigurationError, match=f"the profile has {agents} agents"):
+            run(profile, config, winner=winner)
+
+
+def test_a_script_whose_entries_list_different_numbers_of_agents_is_refused():
+    space = euclidean(Metric.L1, 1)
+    script = ((Point.reals((0.0,)), Point.reals((4.0,))), (Point.reals((1.0,)),))
+    with pytest.raises(ConfigurationError, match="the same number of agents"):
+        EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(PolicyKind.SCRIPTED,
+                                                                    script=script))
+
+
+def test_a_script_beside_another_policy_kind_is_left_unused():
+    space = euclidean(Metric.L1, 1)
+    profile = Profile(space, tuple(Point.reals((x,)) for x in (0.0, 2.0, 4.0)))
+    script = np.array([[[0.0]], [[1.0]]])
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(script=script))
+    report = run(profile, config)
+    assert report.outcome is Outcome.CONVERGED
+    assert report.trace == run(profile, EngineConfig(space, RuleSpec(VotingRule.MEDIAN))).trace
+
+
+def test_a_script_given_as_points_becomes_one_array():
+    space = euclidean(Metric.LINF, 2)
+    profiles = ((Point.reals((0.0, 0.0)), Point.reals((2.0, 2.0))),
+                (Point.reals((1.0, 1.0)), Point.reals((1.0, 1.0))))
+    policy = PolicySpec(PolicyKind.SCRIPTED, script=profiles)
+    assert policy.script.shape == (2, 2, 2)
+    assert not policy.script.flags.writeable
+    assert policy == PolicySpec(PolicyKind.SCRIPTED, script=np.array(policy.script))
+    assert hash(policy) == hash(PolicySpec(PolicyKind.SCRIPTED, script=profiles))
+    ballots = binary(Metric.HAMMING, 2)
+    bits = ((Point.of_bits("01"),), (Point.of_bits("11"),))
+    assert PolicySpec(PolicyKind.SCRIPTED, script=bits).script == bits
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN), policy, max_iters=1)
+    # consensus reached on the budget's last step
+    assert run(Profile(space, profiles[0]), config).outcome is Outcome.CONVERGED
+    with pytest.raises(InvalidPointError):
+        EngineConfig(ballots, RuleSpec(VotingRule.MAJORITY), policy)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((np.inf, 0.0), "agent 1: coordinate 0 = inf is not finite"),
+    ((0.5, 0.0), "agent 1: coordinate 0 = 0.5 is not integral on an integer lattice"),
+])
+def test_a_script_array_is_checked_once_where_it_enters(bad, message):
+    space = euclidean(Metric.L1, 2, lattice=True)
+    script = np.zeros((3, 2, 2))
+    script[2, 1] = bad
+    with pytest.raises(InvalidPointError) as info:
+        EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(PolicyKind.SCRIPTED,
+                                                                    script=script))
+    assert str(info.value) == message
+    with pytest.raises(InvalidPointError) as info:
+        EngineConfig(euclidean(Metric.L1, 3), RuleSpec(VotingRule.MEDIAN),
+                     PolicySpec(PolicyKind.SCRIPTED, script=np.zeros((3, 2, 2))))
+    assert str(info.value) == "agent 0: expected 3 coordinates, got 2"

@@ -385,6 +385,18 @@ def test_example_configs_run(command, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_escape_example_replays_its_script_to_the_cap(monkeypatch, capsys):
+    # the config names its script file relative to the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    assert run_cli("run", "examples/escape.json") == EXIT_CAP
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "outcome=cap_reached moving_iterations=50 states=51 winner=[50.0, 50.0, 50.0]\n"
+        "cap reached; growth_detected=True\n"
+    )
+
+
 # --- reproduce ---------------------------------------------------------------
 
 

@@ -187,9 +187,9 @@ def test_step_validates_each_new_point_once(monkeypatch):
     assert checked == []  # script points were validated by EngineConfig
 
 
-def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
+def _count_per_agent_calls(monkeypatch) -> dict:
+    """Count ``check_constraints``, ``dist`` and ``rules.winner`` calls from here on."""
     from delibsim import policies
-    from delibsim.replays import run_example3
 
     calls = {"check": 0, "dist": 0, "winner": 0}
 
@@ -205,7 +205,17 @@ def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
         monkeypatch.setattr(module, "check_constraints", counting("check", check))
         monkeypatch.setattr(module, "dist", counting("dist", distance))
     monkeypatch.setattr(rules, "winner", counting("winner", rules.winner))
-    report, config = run_example3(30)
+    return calls
+
+
+def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
+    from delibsim.replays import run_example3
+
+    _, config = run_example3(30)
+    calls = _count_per_agent_calls(monkeypatch)
+    # a run given a winner function takes step, one agent at a time
+    initial = Profile(config.space, config.policy.script[0])
+    report = run(initial, config, winner=lambda rule, profile: rules.winner(rule, profile))
     n = len(report.trace[0].points)
     moves = n * (report.states - 1)
     assert moves == 90
@@ -214,6 +224,17 @@ def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
     # the terminal state's distances and the growth window's drift
     assert calls["dist"] <= 3 * moves + n + config.growth_window + 1
     assert calls["winner"] == report.states
+
+
+def test_a_scripted_real_vector_run_makes_no_per_agent_calls(monkeypatch):
+    from delibsim.replays import run_example3
+
+    calls = _count_per_agent_calls(monkeypatch)
+    report, _ = run_example3(30)
+    assert report.states == 31
+    assert report.trace[0].array is not None
+    assert calls["check"] == 0
+    assert calls["winner"] == 0
 
 
 # --- full runs ---------------------------------------------------------------

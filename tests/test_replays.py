@@ -12,6 +12,7 @@ from delibsim import (
     VotingRule,
     winner,
 )
+from delibsim.cli import main
 from delibsim.replays import (
     MAX_ESCAPE_ITERATIONS,
     REPLAY_NAMES,
@@ -144,3 +145,72 @@ def test_swf_timing_parameters_avoid_skip_cases():
         assert eps >= 2
         assert m % eps != 1
         assert rule in (VotingRule.BORDA, VotingRule.COPELAND, VotingRule.KEMENY)
+
+
+#: stdout of ``reproduce NAME --iterations N``, recorded from the per-agent scripted runs
+_PINNED_REPLAYS = {
+    ("example3", 1): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "outcome: cap_reached after 1 iterations, growth_detected=True\n"
+        "example3: ok\n"
+    ),
+    ("example3", 2): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "iteration 2: winner (2.0, 2.0, 2.0)\n"
+        "outcome: cap_reached after 2 iterations, growth_detected=True\n"
+        "example3: ok\n"
+    ),
+    ("example3", 500): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "iteration 2: winner (2.0, 2.0, 2.0)\n"
+        "iteration 500: winner (500.0, 500.0, 500.0)\n"
+        "outcome: cap_reached after 500 iterations, growth_detected=True\n"
+        "example3: ok\n"
+    ),
+    ("example3", 8000): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "iteration 2: winner (2.0, 2.0, 2.0)\n"
+        "iteration 8000: winner (8000.0, 8000.0, 8000.0)\n"
+        "outcome: cap_reached after 8000 iterations, growth_detected=True\n"
+        "example3: ok\n"
+    ),
+    ("example4", 1): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "outcome: cap_reached after 1 iterations, growth_detected=True\n"
+        "example4: ok\n"
+    ),
+    ("example4", 2): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "iteration 2: winner (2.0, 2.0, 2.0)\n"
+        "outcome: cap_reached after 2 iterations, growth_detected=True\n"
+        "example4: ok\n"
+    ),
+    ("example4", 500): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "iteration 2: winner (2.0, 2.0, 2.0)\n"
+        "iteration 500: winner (500.0, 500.0, 500.0)\n"
+        "outcome: cap_reached after 500 iterations, growth_detected=True\n"
+        "example4: ok\n"
+    ),
+    ("example4", 8000): (
+        "iteration 0: winner (0.0, 0.0, 0.0)\n"
+        "iteration 1: winner (1.0, 1.0, 1.0)\n"
+        "iteration 2: winner (2.0, 2.0, 2.0)\n"
+        "iteration 8000: winner (8000.0, 8000.0, 8000.0)\n"
+        "outcome: cap_reached after 8000 iterations, growth_detected=True\n"
+        "example4: ok\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, iterations", sorted(_PINNED_REPLAYS))
+def test_escape_replay_output_is_pinned(capsys, name, iterations):
+    assert main(["reproduce", name, "--iterations", str(iterations)]) == 0
+    assert capsys.readouterr().out == _PINNED_REPLAYS[name, iterations]
