@@ -203,13 +203,13 @@ def failing(
     target = np.maximum(0.0, d_before - epsilon)
     if mode is ConstraintMode.APPROACH_ONLY:
         bad |= exceeds(space, d_after, target)
-        return np.flatnonzero(bad)
+        return bad.nonzero()[0]
     shift = distances(space, before, after)
     bad |= differs(space, d_after, target)
     bad |= np.where(
         exceeds(space, d_after, 0), differs(space, shift, epsilon), exceeds(space, shift, epsilon)
     )
-    return np.flatnonzero(bad)
+    return bad.nonzero()[0]
 
 
 def moved(space: SpaceSpec, before: np.ndarray, after: np.ndarray) -> np.ndarray:

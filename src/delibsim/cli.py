@@ -7,7 +7,10 @@ outputs, and ``verify`` executes the seeded check matrix.
 
 Config files are read by ``profiles.setup_from_json``: ``run`` writes its
 flags over the file's keys and hands it the result, and ``batch`` hands it
-each entry of ``profiles.batch_from_json``.  Every
+each entry of ``profiles.batch_from_json``.  The profile and script paths
+that a config file names are read relative to that file's directory
+(``profiles.relative_to_file``); ``--profile`` is read relative to the
+working directory.  Every
 ``DelibError``, and an ``--out`` path that cannot be opened, ends in one
 ``error: ...`` line on stderr.
 
@@ -29,6 +32,7 @@ from .policies import PolicyKind
 from .profiles import (
     batch_from_json,
     load_json,
+    relative_to_file,
     setup_from_json,
     summary_row,
     write_summary_csv,
@@ -104,7 +108,9 @@ def _open_out(path: str) -> IO[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_json(args.config) if args.config is not None else {}
+    cfg = {}
+    if args.config is not None:
+        cfg = relative_to_file(load_json(args.config), args.config)
     initial, config, seed = setup_from_json(
         _with_flags(cfg, args) if isinstance(cfg, dict) else cfg
     )
@@ -136,7 +142,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     rows = []
     for cfg in batch_from_json(load_json(args.config)):
-        initial, config, seed = setup_from_json(cfg)
+        initial, config, seed = setup_from_json(relative_to_file(cfg, args.config))
         rows.append(summary_row(run(initial, config), config, seed))
     if args.out:
         with _open_out(args.out) as fh:

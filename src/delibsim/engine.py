@@ -7,8 +7,9 @@ iteration).  A run ends in one of three ways:
 * CONVERGED  - an iteration moved nobody, which means every agent sits on
   the winner, i.e. the profile is a consensus;
 * CYCLE      - a profile reappeared (period and first index are reported);
-  runs on discrete spaces are always checked for this, real-vector runs
-  never;
+  the per-agent path checks for this on discrete spaces.  The array path's
+  one discrete rule, bitwise majority, cannot cycle: default Hamming moves
+  flip bits only toward the winner, so no column's majority ever changes;
 * CAP_REACHED - the iteration budget ran out; a growth flag reports whether
   the winner was still drifting monotonically away from where it started.
 
@@ -17,27 +18,24 @@ distance to it, and which agents moved.  Every proposed move is refereed
 before it is taken: the new point must belong to the space and the move
 must pass ``check_constraints``; a move that fails raises.
 
-``run`` advances the state in one of three ways, chosen from the config alone:
+``run`` advances the state in one of two ways, chosen from the config alone:
 
-* the array path, for the default policy on real vectors (every rule and
-  metric, both taxicab move modes, integer lattices included) and on
-  unconstrained ballots under Hamming distance with bitwise majority.  A
-  state is one array (see ``delibsim.arrays``); the rule, the moves, point
-  validation and both movement laws run over all agents at once, with the
-  same arithmetic as the per-agent code, and the first agent that fails
-  is reported by ``step``'s own referee, so errors read the same.
-  Records keep the state array and build ``points`` anew on each access;
-* the whole-script path, for a real-vector script (one ``(T + 1, n, d)``
-  array, see ``delibsim.policies``).  Every state is known before the run
-  starts, so the states' winners and distances, and the moves' verdicts and
-  moved flags, are computed over a block of stacked states at once; the run
-  ends at the first iteration with a failing move (re-judged by ``step``'s
-  referee), the first that moves nobody, or the budget.  Records read
-  their state, a view of the script, and the rest from those arrays;
+* the array path, ``_run_arrays``, for the default policy on real vectors
+  (every rule and metric, both taxicab move modes, integer lattices
+  included) and on unconstrained ballots under Hamming distance with
+  bitwise majority, and for a real-vector script (one ``(T + 1, n, d)``
+  array, see ``delibsim.policies``).  A state is one array (see
+  ``delibsim.arrays``); winners, distances, point validation, both
+  movement laws and moved flags are computed over a block of stacked
+  states at once, with the same arithmetic as the per-agent code.  The
+  default policy's block is the current state, whose moves make the next;
+  a script's block is many of its states.  The first failing move is
+  re-judged by ``step``'s referee, so errors read the same.  Records read
+  their rows from the run's arrays on access;
 * the per-agent path, ``step``, for everything else: ballot and ranking
   scripts, seeded-random policies, committee ballots, rankings, the
   deepest-disagreement metric, and any run given a winner function.
-  ``step`` is also the reference both other paths are tested against.
+  ``step`` is also the reference the array path is tested against.
 
 Each state's winner and distances are computed once: the referee judges
 each move against the recorded distance, and the default budget is sized
@@ -50,7 +48,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -168,37 +166,31 @@ def _check_script(space: SpaceSpec, script) -> None:
 class IterationRecord:
     """State at one iteration plus, when a step ran from it, the move data.
 
-    ``points`` is either a tuple of points or an array-path state (see
-    ``delibsim.arrays``).  A state array is kept as ``array`` and ``points``
-    then builds a new tuple of points on every read, so a trace holds one
-    array per state instead of n point objects; ``array`` is None otherwise.
+    ``moved`` is None on a run's terminal record, the last state of a run
+    that no step ran from.  The records of an array run are
+    ``_ArrayRecord``s, which read every field from the run's arrays.
     """
 
-    __slots__ = ("index", "array", "_points", "winner", "distances", "moved")
+    __slots__ = ("index", "points", "winner", "distances", "moved")
+    #: the state array the points are read from; only ``_ArrayRecord`` has one
+    array: Optional[np.ndarray] = None
 
     def __init__(
         self,
         index: int,
-        points: Union[tuple[Point, ...], np.ndarray],
+        points: tuple[Point, ...],
         winner: Point,
         distances: tuple[float, ...],
         moved: Optional[tuple[bool, ...]] = None,
     ) -> None:
         self.index = index
-        self.array = points if isinstance(points, np.ndarray) else None
-        self._points = None if self.array is not None else tuple(points)
+        self.points = tuple(points)
         self.winner = winner
         self.distances = distances
         self.moved = moved
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        if self.array is not None:
-            return arrays.points(self.array)
-        return self._points
-
     def _fields(self) -> tuple:
-        return (self.index, self.points, self.winner, self.distances, self.moved)
+        return tuple(getattr(self, name) for name in IterationRecord.__slots__)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IterationRecord):
@@ -209,28 +201,30 @@ class IterationRecord:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        names = ("index", "points", "winner", "distances", "moved")
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(IterationRecord.__slots__, self._fields()))
         return f"IterationRecord({body})"
 
 
-class _ScriptRecord(IterationRecord):
-    """A record of a whole-script run: row ``index`` of the run's stacked
-    states, winners, distances and moved flags, each read on access.
-
-    A long scripted trace then holds one small object per state; the
-    base class's stored fields stay unset.
+class _ArrayRecord(IterationRecord):
+    """A record of an array run: row ``index`` of the run's states (``array``),
+    winners, distances and moved flags, each read on access; ``points`` is
+    built anew on every read.  A long trace then holds one small object per
+    state; the base class's stored fields stay unset.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self, index: int, rows: tuple[np.ndarray, ...]) -> None:
+    def __init__(self, index: int, rows: tuple) -> None:
         self.index = index
         self._rows = rows
 
     @property
     def array(self) -> np.ndarray:
         return self._rows[0][self.index]
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return arrays.points(self.array)
 
     @property
     def winner(self) -> Point:
@@ -268,11 +262,9 @@ def is_consensus(profile: Profile) -> bool:
     return all(points_equal(profile.spec, first, p) for p in profile.points[1:])
 
 
-def _state_key(state) -> object:
-    """Hashable identity of a profile or ballot state array, for cycle detection."""
-    if isinstance(state, np.ndarray):
-        return state.tobytes()
-    return tuple(p.values for p in state.points)
+def _state_key(profile: Profile) -> object:
+    """Hashable identity of a profile, for cycle detection."""
+    return tuple(p.values for p in profile.points)
 
 
 def _referee(
@@ -348,12 +340,12 @@ def step(
 
 
 def _takes_array_path(config: EngineConfig) -> bool:
-    if config.policy.kind is not PolicyKind.DEFAULT:
-        return False
-    if config.space.family is Family.EUCLIDEAN:
-        return True
+    policy, space = config.policy, config.space
+    if policy.kind is PolicyKind.SCRIPTED:
+        return isinstance(policy.script, np.ndarray)
     # EngineConfig already limits bitwise majority to unconstrained ballots
-    return config.space.distance is Metric.HAMMING and config.rule.rule is VotingRule.MAJORITY
+    return policy.kind is PolicyKind.DEFAULT and (space.family is Family.EUCLIDEAN or (
+        space.distance is Metric.HAMMING and config.rule.rule is VotingRule.MAJORITY))
 
 
 def check_array_moves(
@@ -364,50 +356,37 @@ def check_array_moves(
     d_before: np.ndarray,
     iteration: int,
 ) -> None:
-    """The array path's referee: raise as ``step`` would for the same moves.
+    """The array runner's referee: raise as ``step`` would for the same moves.
 
-    Every agent is checked at once; the first one that fails is handed to
-    ``step``'s referee, so the error names the same agent with the same
-    message (or is the same ``InvalidPointError`` for a point off the space).
+    ``before`` and ``after`` hold the agents' rows of the states of the
+    iterations from ``iteration`` on, one state after another; ``w`` holds
+    each state's winner row and ``d_before`` each agent's distance to it.
+    The first failing move is handed to ``step``'s referee, so the error
+    reads the same.
     """
-    bad = arrays.failing(
-        config.space, config.policy.constraint_mode, before, after, w, d_before, config.epsilon
-    )
-    for i in bad.tolist():
-        before_i, after_i = arrays.point(before[i]), arrays.point(after[i])
-        _referee(config, i, iteration, before_i, after_i, arrays.point(w), d_before[i].item())
+    w = w.reshape(-1, before.shape[1])
+    n = len(before) // len(w)
+    bad = arrays.failing(config.space, config.policy.constraint_mode, before, after,
+                         _per_agent(w, n), d_before, config.epsilon)
+    for k in bad.tolist():
+        before_k, after_k = arrays.point(before[k]), arrays.point(after[k])
+        _referee(config, k % n, iteration + k // n, before_k, after_k, arrays.point(w[k // n]),
+                 d_before[k].item())
 
 
-def _array_step(
-    state: np.ndarray, config: EngineConfig, iteration: int
-) -> tuple[np.ndarray, IterationRecord]:
-    """``step`` for a state array."""
-    space, epsilon = config.space, config.epsilon
-    w = arrays.winner(config.rule.rule, state)
-    d = arrays.distances(space, state, w)
-    after = arrays.move(space, config.policy.l1_mode, state, w, d, epsilon)
-    check_array_moves(config, state, after, w, d, iteration)
-    record = IterationRecord(
-        index=iteration,
-        points=state,
-        winner=arrays.point(w),
-        distances=tuple(d.tolist()),
-        moved=tuple(arrays.moved(space, state, after).tolist()),
-    )
-    return after, record
+def _per_agent(w: np.ndarray, n: int) -> np.ndarray:
+    """One winner row per agent of ``n``, for stacked states' winners ``w``;
+    a single state's winner row broadcasts as it is."""
+    return w if len(w) == 1 else w.repeat(n, axis=0)
 
 
 def _terminal_record(
-    state, config: EngineConfig, index: int, winner: Optional[WinnerFn]
+    profile: Profile, config: EngineConfig, index: int, winner: Optional[WinnerFn]
 ) -> IterationRecord:
     """The record of a last state, which no step ran from: no moves."""
-    if isinstance(state, np.ndarray):
-        w = arrays.winner(config.rule.rule, state)
-        distances = tuple(arrays.distances(config.space, state, w).tolist())
-        return IterationRecord(index, state, arrays.point(w), distances)
-    w = (winner or rules_mod.winner)(config.rule, state)
-    distances = tuple(dist(config.space, p, w) for p in state.points)
-    return IterationRecord(index, state.points, w, distances)
+    w = (winner or rules_mod.winner)(config.rule, profile)
+    distances = tuple(dist(config.space, p, w) for p in profile.points)
+    return IterationRecord(index, profile.points, w, distances)
 
 
 def _default_max_iters(space: SpaceSpec, distances: tuple[float, ...], epsilon: float) -> int:
@@ -415,6 +394,11 @@ def _default_max_iters(space: SpaceSpec, distances: tuple[float, ...], epsilon: 
     far = max(distances)
     if not exceeds(space, far, 0):
         return DEFAULT_MAX_ITERS
+    if not math.isfinite(far / epsilon):
+        raise ConfigurationError(
+            f"the farthest agent is {far} from the winner, too far to size the default "
+            "iteration budget; set max_iters"
+        )
     return max(1, CAP_MULTIPLIER * math.ceil(far / epsilon))
 
 
@@ -445,98 +429,112 @@ def _capped(
 
 
 def _iterate(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn]) -> _Ending:
-    """Advance one state at a time until consensus, a cycle, or the budget."""
-    if winner is None and _takes_array_path(config):
-        state = arrays.from_profile(initial)
-        advance = lambda state, j: _array_step(state, config, j)
-    else:
-        state = initial
-        mover = MovePolicy(config.space, config.policy)
-        advance = lambda state, j: step(state, config, policy=mover, iteration=j, winner=winner)
+    """Advance one profile at a time with ``step`` until consensus, a cycle,
+    or the budget."""
+    mover = MovePolicy(config.space, config.policy)
     max_iters = config.max_iters
     trace: list[IterationRecord] = []
-    seen = {_state_key(state): 0} if config.space.family is not Family.EUCLIDEAN else None
+    seen = {_state_key(initial): 0} if config.space.family is not Family.EUCLIDEAN else None
+    profile = initial
     j = 0
     while max_iters is None or j < max_iters:
-        next_state, record = advance(state, j)
+        next_profile, record = step(profile, config, policy=mover, iteration=j, winner=winner)
         trace.append(record)
         if max_iters is None:
             max_iters = _default_max_iters(config.space, record.distances, config.epsilon)
         if not any(record.moved):
             return trace, Outcome.CONVERGED, record.winner, None
-        state = next_state
+        profile = next_profile
         j += 1
         if seen is not None:
-            key = _state_key(state)
+            key = _state_key(profile)
             if key in seen:
-                trace.append(_terminal_record(state, config, j, winner))
+                trace.append(_terminal_record(profile, config, j, winner))
                 return trace, Outcome.CYCLE, None, (seen[key], j - seen[key])
             seen[key] = j
-    return _capped(trace, _terminal_record(state, config, max_iters, winner), config)
+    return _capped(trace, _terminal_record(profile, config, max_iters, winner), config)
 
 
-#: agent-states (rows of the stacked states) a whole-script run judges at a
-#: time, which bounds its temporary arrays and lists
+#: agent-states (rows of the stacked states) an array script's run judges at
+#: a time, which bounds its temporary arrays
 SCRIPT_BLOCK_ROWS = 4096
 
 
-def _run_script(initial: Profile, config: EngineConfig, budget: Optional[int]) -> _Ending:
-    """The whole run of an array script, evaluated a block of states at a time.
+def _run_arrays(initial: Profile, config: EngineConfig) -> _Ending:
+    """The run of a state array (see ``delibsim.arrays``), judged a block of
+    states at a time: their winners, distances, move verdicts and moved flags.
 
-    Each block's winners and distances, and its moves' verdicts and moved
-    flags, are computed over the stacked states at once.  The run ends at the
-    first iteration with a failing move (re-judged by ``_referee``, which
-    raises), the first that moves nobody, or ``budget`` iterations (the
-    default budget when None); a script too short for the iteration that
-    needs its next state raises as ``MovePolicy`` does.
+    The default policy's block is the current state, whose ``arrays.move``
+    makes the next; an array script's is up to ``SCRIPT_BLOCK_ROWS // n`` of
+    its states.  Iteration 0 is judged alone, before its distances size a
+    missing budget.  The run ends at the first failing move, the first
+    iteration that moves nobody, or the budget; a script too short for it
+    raises as ``MovePolicy`` does.  Far-apart points give infinite distances,
+    without numpy's overflow warnings.
     """
     space, rule, epsilon = config.space, config.rule.rule, config.epsilon
-    if budget is None:
-        # as in ``_iterate``, iteration 0 is judged before its distances
-        # size the budget, so its errors come first
-        trace = _run_script(initial, config, 1)[0]
-        budget = _default_max_iters(space, trace[0].distances, epsilon)
-    script = config.policy.script
+    script = config.policy.script if config.policy.kind is PolicyKind.SCRIPTED else None
+    budget = config.max_iters
     first = arrays.from_profile(initial)
-    n, d = first.shape
-    last = min(budget, len(script) - 1)  # the last state the run can reach
-    states = script[: last + 1]
-    if first.tobytes() != states[0].tobytes():
-        states = np.concatenate((first[None], states[1:]))
-    winners, distances = np.empty((last + 1, d)), np.empty((last + 1, n))
-    moved = np.empty((last, n), dtype=bool)
-    stop = last  # the first iteration that moves nobody, if any
-    size = max(1, SCRIPT_BLOCK_ROWS // n)
-    for a in range(0, last + 1, size):
-        block = states[a:a + size]
-        b = a + len(block)
-        winners[a:b] = arrays.winner(rule, block)
-        to = np.repeat(winners[a:b], n, axis=0)
-        distances[a:b] = arrays.distances(space, block.reshape(-1, d), to).reshape(-1, n)
-        steps = min(b, last) - a  # the block's moves: iterations a to a + steps - 1
-        before = block[:steps].reshape(-1, d)
-        after = states[a + 1:a + 1 + steps].reshape(-1, d)
-        bad = arrays.failing(space, config.policy.constraint_mode, before, after,
-                             to[:len(before)], distances[a:a + steps].ravel(), epsilon)
-        moved[a:a + steps] = arrays.moved(space, before, after).reshape(steps, n)
-        idle = np.flatnonzero(~moved[a:a + steps].any(axis=1))
-        if len(idle):
-            stop = a + int(idle[0])
-        for k in bad.tolist():
-            j, i = a + k // n, k % n
-            if j > stop:
+    n, width = first.shape
+    states, size = [first], 1
+    if script is not None:
+        states = script[:None if budget is None else budget + 1]
+        size = max(1, SCRIPT_BLOCK_ROWS // n)
+        if first.tobytes() != states[0].tobytes():
+            states = np.concatenate((first[None], states[1:]))
+    reach = len(states) - 1 if script is not None else math.inf  # the last state on hand
+    end = min(budget or 1, reach)  # the last state the run can reach; budgets are at least 1
+    winners, distances, moved = [], [], []
+
+    def observe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Record each state's winner and its agents' distances to it."""
+        # the median's winners are a view into a partitioned copy of the rows
+        w = arrays.winner(rule, rows.reshape(-1, n, width)).copy()
+        d = arrays.distances(space, rows, _per_agent(w, n))
+        winners.append(w)
+        distances.append(d)
+        return w, d
+
+    j = 0  # the block's first iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < end:
+            if script is None:
+                rows = states[j]
+                w, d = observe(rows)
+                states.append(arrays.move(space, config.policy.l1_mode, rows, w[0], d, epsilon))
+                after = states[-1]
+            else:
+                block = states[j:min(j + size, end)]
+                rows = block.reshape(-1, width)
+                w, d = observe(rows)
+                after = states[j + 1:j + 1 + len(block)].reshape(-1, width)
+            flags = arrays.moved(space, rows, after)
+            # per state, whether anyone moved
+            stirred = np.logical_or.reduce(flags.reshape(-1, n), axis=1).tolist()
+            idle = not all(stirred)
+            if idle:  # the run stops at the first idle state: no later move is judged
+                k = (stirred.index(False) + 1) * n
+                rows, after, w, d, flags = rows[:k], after[:k], w[:k // n], d[:k], flags[:k]
+            check_array_moves(config, rows, after, w, d, j)
+            moved.append(flags)
+            if budget is None:  # sized from iteration 0's distances
+                budget = _default_max_iters(space, d.tolist(), epsilon)
+                end = min(budget, reach)
+            if idle:
+                end = j + len(w) - 1
                 break
-            _referee(config, i, j, arrays.point(before[k]), arrays.point(after[k]),
-                     arrays.point(winners[j]), distances[j, i].item(), validated=True)
-        if stop < last:
-            break
-    if stop == last and last < budget:
-        require_next_entry(script, last)  # raises: the script ends before the budget
-    rows = (states, winners, distances, moved)
-    trace = [_ScriptRecord(j, rows) for j in range(stop + 1)]
-    if stop < last:
-        return trace, Outcome.CONVERGED, trace[-1].winner, None
-    return _capped(trace[:-1], trace[-1], config)
+            j += len(w)
+        else:
+            if end < (budget or 1):
+                require_next_entry(script, end)  # raises: the script ends before the budget
+            observe(states[end])
+    kept = (states, np.concatenate(winners), np.concatenate(distances).reshape(-1, n),
+            np.concatenate(moved).reshape(-1, n))
+    trace = [_ArrayRecord(j, kept) for j in range(end + 1)]
+    if len(trace) > len(kept[3]):
+        return _capped(trace[:-1], trace[-1], config)
+    return trace, Outcome.CONVERGED, trace[-1].winner, None
 
 
 def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = None) -> RunReport:
@@ -553,17 +551,17 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
             f"the profile has {initial.n} agents, the script {len(script[0])}"
         )
     started = time.perf_counter()
-    if winner is None and isinstance(script, np.ndarray):
-        trace, outcome, point, cycle = _run_script(initial, config, config.max_iters)
+    if winner is None and _takes_array_path(config):
+        trace, outcome, point, cycle = _run_arrays(initial, config)
     else:
         trace, outcome, point, cycle = _iterate(initial, config, winner)
     cycle_first, cycle_period = cycle or (None, None)
     growth = _growth_detected(trace, config) if outcome is Outcome.CAP_REACHED else None
-    moving = sum(1 for r in trace if r.moved and any(r.moved))
     return RunReport(
         outcome=outcome,
         point=point,
-        moving_iterations=moving,
+        # a run stops at the first iteration that moves nobody
+        moving_iterations=len(trace) - 1,
         states=len(trace),
         trace=tuple(trace),
         cycle_period=cycle_period,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Union
@@ -325,6 +326,25 @@ def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
         max_iters=_typed(cfg.get("max_iters"), int, "max_iters"),
     )
     return initial, config, seed
+
+
+def relative_to_file(cfg, config_path: str):
+    """A run config read from ``config_path``, with the file paths it names
+    (``profile`` and ``policy.script``) made relative to that file's directory.
+
+    An absolute path stays as it is; a value of any other type is left for
+    ``setup_from_json`` to judge.
+    """
+    if not isinstance(cfg, dict):
+        return cfg
+    directory = os.path.dirname(config_path)
+    cfg = dict(cfg)
+    if isinstance(cfg.get("profile"), str):
+        cfg["profile"] = os.path.join(directory, cfg["profile"])
+    policy = cfg.get("policy")
+    if isinstance(policy, dict) and isinstance(policy.get("script"), str):
+        cfg["policy"] = {**policy, "script": os.path.join(directory, policy["script"])}
+    return cfg
 
 
 def batch_from_json(obj) -> list[dict]:

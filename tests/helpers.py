@@ -12,6 +12,7 @@ import math
 from collections import deque
 
 from delibsim import (
+    ConfigurationError,
     Family,
     IterationRecord,
     Metric,
@@ -146,6 +147,11 @@ def reference_run(initial, config):
     max_iters = config.max_iters
     if max_iters is None:
         far = max(observe(initial, 0).distances)
+        if far > EUCLIDEAN_EQ_TOL and not math.isfinite(far / config.epsilon):
+            raise ConfigurationError(
+                f"the farthest agent is {far} from the winner, too far to size the default "
+                "iteration budget; set max_iters"
+            )
         max_iters = (
             DEFAULT_MAX_ITERS
             if far <= EUCLIDEAN_EQ_TOL

@@ -9,6 +9,7 @@ exactly what the per-agent referee raises.
 
 import io
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,7 @@ from delibsim import (
     write_trace_jsonl,
 )
 from delibsim import arrays, engine, rules
+from delibsim.analysis import BoundKind, iteration_bound, winner_stability
 from delibsim.engine import check_array_moves
 from delibsim.spaces import EUCLIDEAN_EQ_TOL
 
@@ -181,6 +183,37 @@ def test_other_configs_and_overrides_take_the_per_agent_path():
     report = run(profile, majority, winner=lambda rule, prof: Point.of_bits("111"))
     assert report.trace[0].array is None
     assert report.trace[0].winner == Point.of_bits("111")
+
+
+@st.composite
+def _majority_case(draw):
+    """Ballots under Hamming distance with bitwise majority, odd and even n,
+    and a step size up to beyond the ballot length."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 13))
+    space = binary(Metric.HAMMING, m)
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    profile = Profile(space, tuple(Point.of_bits([int(b) for b in row]) for row in rows))
+    epsilon = float(draw(st.integers(1, m + 2)))
+    mode = draw(st.sampled_from(_MODES))
+    return profile, EngineConfig(space, RuleSpec(VotingRule.MAJORITY), PolicySpec(
+        constraint_mode=mode), epsilon=epsilon)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_majority_case())
+def test_bitwise_majority_keeps_its_winner_so_no_run_can_cycle(case):
+    # default moves flip bits only toward the winner, so each column's count
+    # moves toward its majority: the winner holds, and the array path needs
+    # no cycle check
+    profile, config = case
+    bound = iteration_bound(config.space, config.rule, profile, config.epsilon)
+    assert bound.kind is BoundKind.EXACT
+    for winner in (None, rules.winner):  # the array path, then step
+        report = run(profile, config, winner=winner)
+        assert winner_stability(report.trace)
+        assert report.outcome is Outcome.CONVERGED
+        assert report.moving_iterations == bound.iterations
 
 
 class _Proposed(MovePolicy):
@@ -334,11 +367,10 @@ def test_points_equal_and_arrays_moved_agree_at_the_tolerance_edge(factor, apart
 def _script_outcome(profile, config, runner):
     """(report, None), or (None, the type, text, agent and iteration of what
     the run raised); a script can be illegal, too short or off the space, and
-    an infinite spread overflows the default budget."""
+    an infinite spread leaves no default budget."""
     try:
         return runner(profile, config), None
-    except (ConfigurationError, ConstraintViolationError, InvalidPointError,
-            OverflowError) as exc:
+    except (ConfigurationError, ConstraintViolationError, InvalidPointError) as exc:
         return None, (type(exc), str(exc), getattr(exc, "agent", None),
                       getattr(exc, "iteration", None))
 
@@ -456,6 +488,25 @@ def test_iteration_0_is_judged_before_an_infinite_spread_sizes_the_budget(mode, 
     want, want_error = _script_outcome(profile, config, step_path)
     assert got is want is None
     assert got_error == want_error
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("metric", [Metric.L1, Metric.L2, Metric.LINF])
+def test_an_infinite_spread_raises_alike_on_both_paths_without_warnings(mode, metric):
+    # the agents are 3e308 apart, a distance no float holds
+    space = euclidean(metric, 1)
+    profile = Profile(space, (Point.reals((-1.5e308,)), Point.reals((1.5e308,))))
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(constraint_mode=mode))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the array path's overflow stays silent
+        got = _script_outcome(profile, config, run)
+    assert got == _script_outcome(profile, config, lambda p, c: run(p, c, winner=rules.winner))
+    if (metric, mode) == (Metric.L1, ConstraintMode.APPROACH_ONLY):
+        # nobody can move, legally, so the budget is sized and there is none
+        assert got[1][:2] == (ConfigurationError, (
+            "the farthest agent is inf from the winner, too far to size the default "
+            "iteration budget; set max_iters"))
+        assert _script_outcome(profile, config, reference_run) == got
 
 
 @pytest.mark.parametrize("agents", [1, 3])

@@ -31,7 +31,7 @@ from delibsim.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from delibsim.profiles import setup_from_json, write_trace_jsonl
+from delibsim.profiles import setup_from_json, space_to_json, write_trace_jsonl
 from delibsim.replays import MAX_ESCAPE_ITERATIONS, example3_script
 
 from helpers import binary, euclidean, ranking_space
@@ -386,15 +386,42 @@ def test_example_configs_run(command, capsys):
 
 
 def test_escape_example_replays_its_script_to_the_cap(monkeypatch, capsys):
-    # the config names its script file relative to the repository root
-    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-    assert run_cli("run", "examples/escape.json") == EXIT_CAP
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert out == (
-        "outcome=cap_reached moving_iterations=50 states=51 winner=[50.0, 50.0, 50.0]\n"
-        "cap reached; growth_detected=True\n"
-    )
+    # the config names its script file relative to itself, so it runs from
+    # the repository root and from examples/ alike
+    root = Path(__file__).resolve().parent.parent
+    for directory, path in ((root, "examples/escape.json"), (root / "examples", "escape.json")):
+        monkeypatch.chdir(directory)
+        assert run_cli("run", path) == EXIT_CAP
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (
+            "outcome=cap_reached moving_iterations=50 states=51 winner=[50.0, 50.0, 50.0]\n"
+            "cap reached; growth_detected=True\n"
+        )
+
+
+def test_config_file_paths_are_read_relative_to_the_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    space = euclidean(Metric.LINF, 3)
+    save_script(_SCRIPT, space, str(tmp_path / "sub" / "script.json"))
+    save_profile(_FILE_PROFILE, str(tmp_path / "sub" / "profile.json"))
+    scripted = {"space": space_to_json(space), "rule": "mean", "max_iters": 10,
+                "policy": {"kind": "scripted", "script": "script.json"}}
+    (tmp_path / "sub" / "run.json").write_text(json.dumps(scripted))
+    (tmp_path / "sub" / "profile-run.json").write_text(
+        json.dumps({"rule": "mean", "profile": "profile.json"}))
+    (tmp_path / "sub" / "batch.json").write_text(json.dumps(
+        {"seeds": [0], "configurations": [scripted, {"rule": "mean", "profile": "profile.json"}]}))
+    assert run_cli("run", "sub/run.json", "--quiet") == EXIT_CAP
+    assert run_cli("run", "sub/profile-run.json", "--quiet") == EXIT_OK
+    assert run_cli("batch", "sub/batch.json", "--out", "grid.csv", "--quiet") == EXIT_OK
+    assert len((tmp_path / "grid.csv").read_text().splitlines()) == 3
+    # --profile is a path from the working directory, not from the config file
+    assert run_cli("run", "sub/profile-run.json", "--profile", "profile.json") == EXIT_ERROR
+    assert capsys.readouterr().err == "error: profile.json: No such file or directory\n"
+    assert run_cli("run", "sub/profile-run.json", "--profile", "sub/profile.json",
+                   "--quiet") == EXIT_OK
 
 
 # --- reproduce ---------------------------------------------------------------
@@ -514,6 +541,10 @@ _RUN_CFG = {
         ("run", {"rule": "mean", "profile": _INLINE}, ["--m", "3"]),
         ("run", {"rule": "mean", "profile": _INLINE}, ["--dim", "2"]),
         ("run", {"rule": "mean", "profile": _INLINE}, ["--k", "1"]),
+        # the spread overflows a float, so no default budget can be sized
+        ("run", {"profile": {"space": {"family": "euclidean", "distance": "l1", "dimension": 1},
+                             "points": [[-1.5e308], [1.5e308]]},
+                 "rule": "median", "policy": {"constraint_mode": "approach_only"}}, []),
     ],
     ids=["n", "epsilon", "epsilon-nan", "policy-kind", "dimension", "profile-file", "seed",
          "point-literal", "tiebreak-order", "box", "space-not-object", "seed-inf",
@@ -524,7 +555,8 @@ _RUN_CFG = {
          "batch-out-unwritable", "iterations-0", "iterations-negative",
          "iterations-negative-example4", "seeds-0", "seeds-negative",
          "verify-out-unwritable", "profile-and-n", "profile-and-box", "profile-and-n-flag",
-         "m-flag-without-space", "dim-flag-without-space", "k-flag-without-space"],
+         "m-flag-without-space", "dim-flag-without-space", "k-flag-without-space",
+         "spread-overflow"],
 )
 def test_bad_input_prints_an_error_line(tmp_path, monkeypatch, capsys, command, cfg, flags):
     monkeypatch.chdir(tmp_path)

@@ -14,7 +14,6 @@ from delibsim import (
     EngineConfig,
     Family,
     GeneratorSpec,
-    IterationRecord,
     Metric,
     Outcome,
     ParseError,
@@ -36,6 +35,7 @@ from delibsim import (
     write_summary_csv,
     write_trace_jsonl,
 )
+from delibsim.engine import _ArrayRecord
 from delibsim.profiles import (
     final_winner,
     profile_from_json,
@@ -252,11 +252,10 @@ def test_write_trace_jsonl_keeps_each_bit_pattern_of_array_states():
         [[-0.0, 1.5], [-0.0, 1.5], [2.0, 0.25]],
     )
     distances = ((0.0, -0.0, 2.0), (-0.0, 0.0, 0.1 + 0.2), (0.0, 1e-300, math.inf))
-    moved = ((True, True, True), (True, False, False), None)  # CAP terminal record last
-    trace = tuple(
-        IterationRecord(j, np.array(state), Point.reals((0.0, 1.5)), d, m)
-        for j, (state, d, m) in enumerate(zip(states, distances, moved))
-    )
+    moved = ((True, True, True), (True, False, False))  # none on the CAP terminal record
+    # the rows an array run's records read: states, winners, distances, moved
+    rows = (np.array(states), np.array([(0.0, 1.5)] * 3), np.array(distances), np.array(moved))
+    trace = tuple(_ArrayRecord(j, rows) for j in range(3))
     report = RunReport(Outcome.CAP_REACHED, None, 2, 3, trace, growth_detected=False)
     buf = io.StringIO()
     write_trace_jsonl(report, space, buf)
