@@ -33,7 +33,7 @@ from .rules import (
     tiebreak_positions,
     winner,
 )
-from .spaces import Family, Metric, Point, SpaceSpec, dist, points_equal
+from .spaces import Family, Metric, Point, SpaceSpec, dist, points_equal, total
 
 BALL_TOL = 1e-9
 BRUTEFORCE_MAX_CANDIDATES = 6
@@ -319,4 +319,4 @@ def ball_containment(initial: Profile, final_point: Point) -> bool:
 
 def sum_distance_to_winner(profile: Profile, w: Point) -> float:
     """Total distance of all agents from a given point."""
-    return sum(dist(profile.spec, p, w) for p in profile.points)
+    return total(dist(profile.spec, p, w) for p in profile.points)

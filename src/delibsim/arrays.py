@@ -8,10 +8,10 @@ per agent.  Every kernel computes what the per-agent code computes for each
 row, with the same floating-point operations in the same order, so results
 match it bit for bit:
 
-* sums that the per-agent code takes with ``sum`` (taxicab distances, the
-  straight-line norm inside ``move_l2``, the mean) go through ``sum`` here
-  too, one row or column at a time, because numpy adds in another order and
-  ``sum`` itself compensates from Python 3.12 on;
+* sums that the per-agent code takes with ``spaces.total`` (taxicab
+  distances, the straight-line norm inside ``move_l2``, the mean) are one
+  ``np.add.accumulate`` along the summed axis, which adds left to right as
+  ``total`` does; ``np.sum`` adds pairwise, so it is not used;
 * Euclidean distances use ``math.hypot`` and the straight-line norm uses
   ``** 0.5``, which differs from ``np.sqrt`` in the last bit on some inputs;
 * everything else (differences, scaling, clipping, comparisons, maxima,
@@ -110,8 +110,12 @@ class StateJson:
 
 
 def _sums(rows: np.ndarray) -> np.ndarray:
-    """``sum`` of each row, as the per-agent code adds it."""
-    return np.fromiter(map(sum, rows.tolist()), np.float64, len(rows))
+    """``spaces.total`` of each row: left to right, from 0.
+
+    ``accumulate`` adds in order (``np.sum`` adds pairwise); ``+ 0.0``
+    turns a row of ``-0.0`` into ``0.0``, as a sum that starts at 0 does.
+    """
+    return np.add.accumulate(rows.T, axis=0)[-1] + 0.0
 
 
 def winner(rule: VotingRule, state: np.ndarray) -> np.ndarray:
@@ -158,7 +162,7 @@ def move(
         return state ^ flip.astype(_BALLOT)
     gaps = w - state
     if space.distance is Metric.L2:
-        norms = np.array([s ** 0.5 for s in map(sum, (gaps * gaps).tolist())])
+        norms = np.array([s ** 0.5 for s in _sums(gaps * gaps).tolist()])
     elif space.distance is Metric.LINF:
         norms = np.abs(gaps).max(axis=1)
     else:

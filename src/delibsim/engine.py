@@ -285,7 +285,7 @@ def _referee(
     if not validated:
         violation = validate_point(config.space, after)
         if violation is not None:
-            raise InvalidPointError(violation)
+            raise InvalidPointError(f"agent {agent} at iteration {iteration}: {violation}")
     violation = check_constraints(
         config.space, before, after, w, config.epsilon, config.policy.constraint_mode,
         d_before=d_before,

@@ -45,6 +45,7 @@ from .spaces import (
     dist_hamming,
     dist_swap,
     exceeds,
+    total,
 )
 
 
@@ -158,7 +159,7 @@ def _scaled_move(v: Point, w: Point, gaps: list, d: float, epsilon: float) -> Po
 def move_l2(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
     """Straight-line move; the unique point satisfying both laws."""
     gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    return _scaled_move(v, w, gaps, sum(g * g for g in gaps) ** 0.5, epsilon)
+    return _scaled_move(v, w, gaps, total(g * g for g in gaps) ** 0.5, epsilon)
 
 
 def move_l1(
@@ -167,7 +168,7 @@ def move_l1(
     """Taxicab move: spend the step budget coordinate by coordinate, or
     spread it proportionally to each coordinate's gap."""
     gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    d = sum(abs(g) for g in gaps)
+    d = total(abs(g) for g in gaps)
     if d <= epsilon or mode is L1Mode.PROPORTIONAL:
         return _scaled_move(v, w, gaps, d, epsilon)
     out = list(v.real_vector)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidPointError, UnsupportedSizeError
-from .spaces import Family, Point, SpaceSpec, validate_point
+from .spaces import Family, Point, SpaceSpec, total, validate_point
 
 #: ceiling for the swap-distance minimizer's 2^m-subset tables: ~0.3 s, 9-43 MB at m=16
 KEMENY_MAX_CANDIDATES = 16
@@ -147,7 +147,7 @@ def mean_elementwise(profile: Profile) -> Point:
     """Coordinate-wise arithmetic mean."""
     vectors = [p.real_vector for p in profile.points]
     n = profile.n
-    return Point.reals(sum(col) / n for col in zip(*vectors))
+    return Point.reals(total(col) / n for col in zip(*vectors))
 
 
 def floor_mean_elementwise(profile: Profile) -> Point:

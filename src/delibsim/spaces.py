@@ -13,14 +13,18 @@ take valid points of their space and do not check them again.
 This module owns the tolerance: every comparison of coordinates, distances
 or step lengths goes through ``differs`` and ``exceeds``, which take Python
 numbers and numpy arrays alike.  Real values within ``EUCLIDEAN_EQ_TOL``
-count as equal; discrete ones compare exactly.
+count as equal; discrete ones compare exactly.  It also owns the summation
+rule: ``total`` adds left to right from 0, with no compensation, so a sum
+gives the same bits on every Python version and on the array path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConfigurationError, InvalidPointError
@@ -178,13 +182,23 @@ def validate_point(space: SpaceSpec, point: Point) -> Optional[str]:
     return None
 
 
+def total(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right from 0.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on;
+    this is the plain sum on every version, and ``arrays`` adds in the same
+    order.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def dist_lp(space: SpaceSpec, x: Point, y: Point) -> float:
     """Minkowski distance on real vectors, selected by the space's metric."""
     if space.family is not Family.EUCLIDEAN:
         raise InvalidPointError("dist_lp requires a euclidean space")
     diffs = [abs(a - b) for a, b in zip(x.real_vector, y.real_vector)]
     if space.distance is Metric.L1:
-        return sum(diffs)
+        return total(diffs)
     if space.distance is Metric.L2:
         return math.hypot(*diffs)
     return max(diffs)

@@ -144,30 +144,32 @@ def reference_run(initial, config):
         distances = tuple(dist(space, p, w) for p in profile.points)
         return IterationRecord(index, profile.points, w, distances)
 
-    max_iters = config.max_iters
-    if max_iters is None:
-        far = max(observe(initial, 0).distances)
-        if far > EUCLIDEAN_EQ_TOL and not math.isfinite(far / config.epsilon):
+    def default_budget(distances):
+        far = max(distances)
+        if far <= EUCLIDEAN_EQ_TOL:
+            return DEFAULT_MAX_ITERS
+        if not math.isfinite(far / config.epsilon):
             raise ConfigurationError(
                 f"the farthest agent is {far} from the winner, too far to size the default "
                 "iteration budget; set max_iters"
             )
-        max_iters = (
-            DEFAULT_MAX_ITERS
-            if far <= EUCLIDEAN_EQ_TOL
-            else max(1, CAP_MULTIPLIER * math.ceil(far / config.epsilon))
-        )
+        return max(1, CAP_MULTIPLIER * math.ceil(far / config.epsilon))
+
+    max_iters = config.max_iters
     mover = MovePolicy(space, config.policy)
     cycles = space.family is not Family.EUCLIDEAN
     seen = {}
     trace = []
     profile = initial
     outcome, point, period, first = Outcome.CAP_REACHED, None, None, None
-    for j in range(max_iters):
+    j = 0
+    while max_iters is None or j < max_iters:
         if cycles:
             seen[tuple(p.values for p in profile.points)] = j
         nxt, record = step(profile, config, policy=mover, iteration=j)
         trace.append(record)
+        if max_iters is None:  # sized once iteration 0 has been stepped
+            max_iters = default_budget(record.distances)
         if not any(record.moved):
             outcome, point = Outcome.CONVERGED, record.winner
             break
@@ -178,6 +180,7 @@ def reference_run(initial, config):
             period = j + 1 - first
             trace.append(observe(profile, j + 1))
             break
+        j += 1
     else:
         trace.append(observe(profile, max_iters))
         if is_consensus(profile):

@@ -8,6 +8,7 @@ exactly what the per-agent referee raises.
 """
 
 import io
+import math
 import random
 import warnings
 from unittest import mock
@@ -43,7 +44,7 @@ from delibsim import (
 from delibsim import arrays, engine, rules
 from delibsim.analysis import BoundKind, iteration_bound, winner_stability
 from delibsim.engine import check_array_moves
-from delibsim.spaces import EUCLIDEAN_EQ_TOL
+from delibsim.spaces import EUCLIDEAN_EQ_TOL, total
 
 from helpers import binary, euclidean, reference_jsonl, reference_run
 
@@ -501,12 +502,21 @@ def test_an_infinite_spread_raises_alike_on_both_paths_without_warnings(mode, me
         warnings.simplefilter("error")  # the array path's overflow stays silent
         got = _script_outcome(profile, config, run)
     assert got == _script_outcome(profile, config, lambda p, c: run(p, c, winner=rules.winner))
-    if (metric, mode) == (Metric.L1, ConstraintMode.APPROACH_ONLY):
+    # the reference, too, steps iteration 0 before it sizes the budget
+    assert _script_outcome(profile, config, reference_run) == got
+    if metric is not Metric.L1:
+        # epsilon / inf * inf: the move toward the winner proposes NaN
+        assert got[1][:2] == (InvalidPointError,
+                              "agent 0 at iteration 0: coordinate 0 = nan is not finite")
+    elif mode is ConstraintMode.STRICT:
+        # nobody can move, and the strict mode refuses that before any budget
+        assert got[1] == (ConstraintViolationError, "agent 0 at iteration 0: displacement "
+                          "law violated: moved 0.0, expected exactly 1.0", 0, 0)
+    else:
         # nobody can move, legally, so the budget is sized and there is none
         assert got[1][:2] == (ConfigurationError, (
             "the farthest agent is inf from the winner, too far to size the default "
             "iteration budget; set max_iters"))
-        assert _script_outcome(profile, config, reference_run) == got
 
 
 @pytest.mark.parametrize("agents", [1, 3])
@@ -574,3 +584,45 @@ def test_a_script_array_is_checked_once_where_it_enters(bad, message):
         EngineConfig(euclidean(Metric.L1, 3), RuleSpec(VotingRule.MEDIAN),
                      PolicySpec(PolicyKind.SCRIPTED, script=np.zeros((3, 2, 2))))
     assert str(info.value) == "agent 0: expected 3 coordinates, got 2"
+
+
+#: summands where float addition is delicate: signed zeros, infinities, NaN,
+#: subnormals and magnitudes whose sum overflows
+_DELICATE = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -1e-310,
+             2.2250738585072014e-308, 9e307, 1.5e308, 1.7976931348623157e308,
+             -1.7976931348623157e308)
+
+
+@st.composite
+def _summand_rows(draw):
+    """Rows to add: short ones, as an agent's d = 1-12 coordinates, or long
+    ones, as one coordinate of n = 1-5000 agents.  Either random values with
+    magnitudes from subnormal to overflowing, or one delicate value
+    throughout; then a few delicate or arbitrary values dropped in."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 64)), draw(st.integers(1, 12)))
+    else:
+        shape = (draw(st.integers(1, 12)), draw(st.integers(1, 5000)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        low = draw(st.integers(-1074, 1023))
+        high = draw(st.integers(low, 1023))
+        with np.errstate(over="ignore"):
+            rows = np.ldexp(rng.standard_normal(shape), rng.integers(low, high + 1, shape))
+    else:
+        rows = np.full(shape, draw(st.sampled_from(_DELICATE)))
+    for _ in range(draw(st.integers(0, 12))):
+        at = (draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1)))
+        rows[at] = draw(st.sampled_from(_DELICATE) | st.floats())
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_summand_rows())
+def test_array_sums_equal_the_per_agent_total_bit_for_bit(rows):
+    want = np.array([total(row) for row in rows.tolist()])
+    for layout in (rows, np.asfortranarray(rows)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = arrays._sums(layout)
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), (rows[~same], got[~same], want[~same])

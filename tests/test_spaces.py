@@ -27,7 +27,7 @@ from delibsim import (
     step,
     validate_point,
 )
-from delibsim.spaces import dist_lp
+from delibsim.spaces import dist_lp, total
 
 from helpers import (
     bfs_swap_distance,
@@ -212,6 +212,12 @@ def test_dist_dispatch_matches_direct():
     for metric in (Metric.L1, Metric.L2, Metric.LINF):
         space = euclidean(metric, 3)
         assert dist(space, x, y) == dist_lp(space, x, y)
+
+
+def test_total_adds_left_to_right_from_zero_on_every_python():
+    # a compensated sum, as the builtin's is from Python 3.12 on, gives 1.0
+    assert total((1e16, 1.0, -1e16)) == 0.0
+    assert math.copysign(1.0, total((-0.0, -0.0))) == 1.0  # 0 + -0.0 is 0.0
 
 
 @given(
