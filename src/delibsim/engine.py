@@ -54,7 +54,12 @@ import numpy as np
 
 from . import arrays
 from . import rules as rules_mod
-from .errors import ConfigurationError, ConstraintViolationError, InvalidPointError
+from .errors import (
+    ConfigurationError,
+    ConstraintViolationError,
+    InfeasibleStepError,
+    InvalidPointError,
+)
 from .policies import (
     ConstraintMode,
     L1Mode,
@@ -172,8 +177,10 @@ class IterationRecord:
     """
 
     __slots__ = ("index", "points", "winner", "distances", "moved")
-    #: the state array the points are read from; only ``_ArrayRecord`` has one
-    array: Optional[np.ndarray] = None
+    #: the arrays of the whole run, whose row ``index`` this record reads:
+    #: states, winners, distances and moved flags, the last without a row for
+    #: the terminal record; only ``_ArrayRecord`` has them
+    run_arrays: Optional[tuple] = None
 
     def __init__(
         self,
@@ -206,8 +213,8 @@ class IterationRecord:
 
 
 class _ArrayRecord(IterationRecord):
-    """A record of an array run: row ``index`` of the run's states (``array``),
-    winners, distances and moved flags, each read on access; ``points`` is
+    """A record of an array run: row ``index`` of the run's states, winners,
+    distances and moved flags (``run_arrays``), each read on access; ``points`` is
     built anew on every read.  A long trace then holds one small object per
     state; the base class's stored fields stay unset.
     """
@@ -219,12 +226,12 @@ class _ArrayRecord(IterationRecord):
         self._rows = rows
 
     @property
-    def array(self) -> np.ndarray:
-        return self._rows[0][self.index]
+    def run_arrays(self) -> tuple:
+        return self._rows
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return arrays.points(self.array)
+        return arrays.points(self._rows[0][self.index])
 
     @property
     def winner(self) -> Point:
@@ -473,6 +480,7 @@ def _run_arrays(initial: Profile, config: EngineConfig) -> _Ending:
     without numpy's overflow warnings.
     """
     space, rule, epsilon = config.space, config.rule.rule, config.epsilon
+    l1_mode = config.policy.l1_mode
     script = config.policy.script if config.policy.kind is PolicyKind.SCRIPTED else None
     budget = config.max_iters
     first = arrays.from_profile(initial)
@@ -502,7 +510,13 @@ def _run_arrays(initial: Profile, config: EngineConfig) -> _Ending:
             if script is None:
                 rows = states[j]
                 w, d = observe(rows)
-                states.append(arrays.move(space, config.policy.l1_mode, rows, w[0], d, epsilon))
+                try:
+                    states.append(arrays.move(space, l1_mode, rows, w[0], d, epsilon))
+                except InfeasibleStepError:
+                    # a step cannot be scaled: ``step`` raises, agent by agent,
+                    # what the per-agent path raises first
+                    step(Profile.of_checked(space, arrays.points(rows)), config, iteration=j)
+                    raise
                 after = states[-1]
             else:
                 block = states[j:min(j + size, end)]

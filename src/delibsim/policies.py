@@ -26,6 +26,7 @@ every move, scripted ones included.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -148,10 +149,20 @@ def _as_step_count(epsilon: float) -> int:
     return step
 
 
+def too_far_message(length: float, epsilon: float) -> str:
+    """Why no step can be scaled toward a winner whose distance, as the move
+    measures it, overflows to ``length``: the factor ``epsilon / length`` is 0,
+    and an infinite gap times 0 is NaN."""
+    return (f"the distance to the winner overflows to {length}, too far to scale a step "
+            f"of {epsilon} toward it")
+
+
 def _scaled_move(v: Point, w: Point, gaps: list, d: float, epsilon: float) -> Point:
     """``w`` when within ``epsilon``, else ``v`` moved ``epsilon / d`` of each gap."""
     if d <= epsilon:
         return w
+    if d == math.inf:
+        raise InfeasibleStepError(too_far_message(d, epsilon))
     f = epsilon / d
     return Point.reals(a + f * g for a, g in zip(v.real_vector, gaps))
 
@@ -358,8 +369,15 @@ class MovePolicy:
         return random.Random(mix)
 
     def move(self, v: Point, w: Point, epsilon: float, iteration: int, agent: int) -> Point:
+        """``agent``'s next point; an infeasible step raises with the agent and iteration named."""
         if self.spec.kind is PolicyKind.SCRIPTED:
             return self._scripted(iteration, agent)
+        try:
+            return self._default(v, w, epsilon, iteration, agent)
+        except InfeasibleStepError as exc:
+            raise InfeasibleStepError(f"agent {agent} at iteration {iteration}: {exc}") from None
+
+    def _default(self, v: Point, w: Point, epsilon: float, iteration: int, agent: int) -> Point:
         space = self.space
         rng = self._rng(iteration, agent)
         if space.distance is Metric.FIRST_CHANGED:

@@ -13,11 +13,12 @@ movers starting at maximal distance.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import random
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -377,32 +378,35 @@ def write_trace_jsonl(report: RunReport, space: SpaceSpec, out: Union[str, IO[st
 
     Each line holds the bytes ``json.dumps`` gives for the record's
     ``index``, ``points`` (as ``point_to_json`` writes them), ``winner``,
-    ``distances`` and ``moved`` (null on a terminal record).  Array-backed
-    states are written straight from their arrays.  For real vectors, a
-    coordinate whose float64 bit pattern equals the same entry of the
-    previous state reuses that entry's text; only the previous state's texts
-    are kept, and every other bit pattern, distances included, is formatted
-    once per state.
+    ``distances`` and ``moved`` (null on a terminal record).  The records of
+    an array run are written straight from the run's arrays
+    (``IterationRecord.run_arrays``) by ``arrays.trace_texts``, a block of
+    records at a time; for real vectors, only the coordinates whose float64
+    bit pattern differs from the same entry of the record before are
+    formatted again.
     """
 
+    def texts(records: list) -> Iterator[tuple]:
+        run = records[0].run_arrays
+        if run is not None:
+            return arrays.trace_texts(space.family, run, [r.index for r in records])
+        return (
+            (json.dumps([point_to_json(space, p) for p in r.points]),
+             json.dumps(point_to_json(space, r.winner)),
+             json.dumps(list(r.distances)),
+             json.dumps(list(r.moved) if r.moved is not None else None))
+            for r in records
+        )
+
     def emit(fh: IO[str]) -> None:
-        state_json = arrays.StateJson()
-        for r in report.trace:
-            if r.array is not None and space.family is Family.EUCLIDEAN:
-                points = state_json(r.array)
-                distances = arrays.floats_json(r.distances)
-            else:
-                if r.array is not None:
-                    points = json.dumps(arrays.to_json(r.array))
-                else:
-                    points = json.dumps([point_to_json(space, p) for p in r.points])
-                distances = json.dumps(list(r.distances))
-            winner = json.dumps(point_to_json(space, r.winner))
-            moved = json.dumps(list(r.moved) if r.moved is not None else None)
-            fh.write(
-                f'{{"index": {r.index}, "points": {points}, "winner": {winner}, '
-                f'"distances": {distances}, "moved": {moved}}}\n'
-            )
+        # consecutive records of one array run are written together
+        for _, group in itertools.groupby(report.trace, key=lambda r: id(r.run_arrays)):
+            records = list(group)
+            for r, (points, winner, distances, moved) in zip(records, texts(records)):
+                fh.write(
+                    f'{{"index": {r.index}, "points": {points}, "winner": {winner}, '
+                    f'"distances": {distances}, "moved": {moved}}}\n'
+                )
 
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8") as fh:

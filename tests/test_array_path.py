@@ -8,8 +8,10 @@ exactly what the per-agent referee raises.
 """
 
 import io
+import json
 import math
 import random
+import struct
 import warnings
 from unittest import mock
 
@@ -24,6 +26,7 @@ from delibsim import (
     ConstraintViolationError,
     EngineConfig,
     GeneratorSpec,
+    InfeasibleStepError,
     InvalidPointError,
     L1Mode,
     Metric,
@@ -128,7 +131,7 @@ def test_array_path_matches_the_per_agent_reference(seed):
     assert got_error == want_error
     if want is None:
         return
-    assert got.trace[0].array is not None
+    assert got.trace[0].run_arrays is not None
     for name in (
         "outcome",
         "moving_iterations",
@@ -160,12 +163,35 @@ def test_trace_jsonl_matches_the_reference_writer(seed):
     assert got == reference_jsonl(report, config.space).splitlines()
 
 
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("block", [1, 25])
+def test_trace_jsonl_is_the_same_for_every_block_size(seed, block, monkeypatch):
+    # one record per block, and blocks that end inside a run's states
+    profile, config, _ = _random_case(seed)
+    report, error = _outcome(profile, config, run)
+    if report is None:
+        return
+    monkeypatch.setattr(arrays, "_TEXT_BLOCK", block)
+    got = _jsonl(report, config.space).splitlines()
+    assert got == reference_jsonl(report, config.space).splitlines()
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_each_trace_line_survives_a_json_round_trip(seed):
+    profile, config, _ = _random_case(seed)
+    report, error = _outcome(profile, config, run)
+    if report is None:
+        return
+    for line in _jsonl(report, config.space).splitlines():
+        assert json.dumps(json.loads(line)) == line
+
+
 def test_record_points_are_built_on_each_read():
     space = euclidean(Metric.L2, 2)
     profile = generate(GeneratorSpec(space, n=5, seed=1))
     report = run(profile, EngineConfig(space, RuleSpec(VotingRule.MEAN), epsilon=0.5))
     record = report.trace[0]
-    assert record.array.shape == (5, 2)
+    assert record.run_arrays[0][record.index].shape == (5, 2)
     assert record.points == profile.points
     assert record.points is not record.points
 
@@ -174,15 +200,15 @@ def test_other_configs_and_overrides_take_the_per_agent_path():
     ballots = binary(Metric.HAMMING, 3)
     profile = Profile(ballots, (Point.of_bits("011"), Point.of_bits("110")))
     majority = EngineConfig(ballots, RuleSpec(VotingRule.MAJORITY))
-    assert run(profile, majority).trace[0].array is not None
+    assert run(profile, majority).trace[0].run_arrays is not None
     seeded = EngineConfig(
         ballots,
         RuleSpec(VotingRule.MAJORITY),
         PolicySpec(kind=PolicyKind.SEEDED_RANDOM, seed=3),
     )
-    assert run(profile, seeded).trace[0].array is None
+    assert run(profile, seeded).trace[0].run_arrays is None
     report = run(profile, majority, winner=lambda rule, prof: Point.of_bits("111"))
-    assert report.trace[0].array is None
+    assert report.trace[0].run_arrays is None
     assert report.trace[0].winner == Point.of_bits("111")
 
 
@@ -371,7 +397,8 @@ def _script_outcome(profile, config, runner):
     an infinite spread leaves no default budget."""
     try:
         return runner(profile, config), None
-    except (ConfigurationError, ConstraintViolationError, InvalidPointError) as exc:
+    except (ConfigurationError, ConstraintViolationError, InfeasibleStepError,
+            InvalidPointError) as exc:
         return None, (type(exc), str(exc), getattr(exc, "agent", None),
                       getattr(exc, "iteration", None))
 
@@ -407,7 +434,7 @@ def _scripted_case(draw):
     recording = EngineConfig(space, RuleSpec(rule), PolicySpec(l1_mode=l1_mode), epsilon=epsilon,
                              max_iters=draw(st.integers(1, 25)))
     recorded = run(profile, recording)
-    script = np.array([r.array for r in recorded.trace])
+    script = np.array([r.run_arrays[0][r.index] for r in recorded.trace])
     if recorded.outcome is Outcome.CONVERGED:  # the state after the idle step
         script = np.concatenate((script, script[-1:]))
     if draw(st.integers(0, 2)) == 0:  # replay under another rule or metric
@@ -450,7 +477,7 @@ def test_whole_script_path_matches_the_per_agent_reference(case, rows):
     assert got_error == want_error
     if want is None:
         return
-    assert got.trace[0].array is not None
+    assert got.trace[0].run_arrays is not None
     assert got.trace == want.trace
     for name in ("outcome", "point", "moving_iterations", "states", "cycle_period",
                  "cycle_first_index", "growth_detected"):
@@ -505,9 +532,10 @@ def test_an_infinite_spread_raises_alike_on_both_paths_without_warnings(mode, me
     # the reference, too, steps iteration 0 before it sizes the budget
     assert _script_outcome(profile, config, reference_run) == got
     if metric is not Metric.L1:
-        # epsilon / inf * inf: the move toward the winner proposes NaN
-        assert got[1][:2] == (InvalidPointError,
-                              "agent 0 at iteration 0: coordinate 0 = nan is not finite")
+        # epsilon / inf * inf would be NaN: the move toward the winner refuses
+        assert got[1][:2] == (InfeasibleStepError, "agent 0 at iteration 0: the distance to "
+                              "the winner overflows to inf, too far to scale a step of 1.0 "
+                              "toward it")
     elif mode is ConstraintMode.STRICT:
         # nobody can move, and the strict mode refuses that before any budget
         assert got[1] == (ConstraintViolationError, "agent 0 at iteration 0: displacement "
@@ -517,6 +545,46 @@ def test_an_infinite_spread_raises_alike_on_both_paths_without_warnings(mode, me
         assert got[1][:2] == (ConfigurationError, (
             "the farthest agent is inf from the winner, too far to size the default "
             "iteration budget; set max_iters"))
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("metric, l1_mode, spread", [
+    (Metric.L2, L1Mode.COORD_ORDER, 1.5e308), (Metric.LINF, L1Mode.COORD_ORDER, 1.5e308),
+    (Metric.L1, L1Mode.PROPORTIONAL, 1.5e308),
+    # the l2 distance (hypot) is finite, but the move's sum of squares overflows;
+    # the approach-only mode once let both agents stay and called it a consensus
+    (Metric.L2, L1Mode.COORD_ORDER, 1e200)])
+def test_a_scaled_move_toward_an_infinitely_far_winner_raises_on_both_paths(
+    mode, metric, l1_mode, spread
+):
+    space = euclidean(metric, 1)
+    profile = Profile(space, (Point.reals((-spread,)), Point.reals((spread,))))
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN),
+                          PolicySpec(l1_mode=l1_mode, constraint_mode=mode), max_iters=5)
+    for winner in (None, rules.winner):  # the array path, then step
+        with pytest.raises(InfeasibleStepError) as raised:
+            run(profile, config, winner=winner)
+        assert str(raised.value) == ("agent 0 at iteration 0: the distance to the winner "
+                                     "overflows to inf, too far to scale a step of 1.0 toward it")
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_an_earlier_agent_fails_before_a_step_toward_an_infinitely_far_winner(mode):
+    # the median is 1.5e308; agent 0's step of 1 is lost to rounding, which
+    # the strict mode refuses, and agent 1's winner is infinitely far
+    space = euclidean(Metric.LINF, 1)
+    profile = Profile(space, tuple(Point.reals((x,)) for x in (1e300, -1.5e308, 1.5e308, 1.5e308)))
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(constraint_mode=mode),
+                          max_iters=5)
+    got = _script_outcome(profile, config, run)
+    assert got == _script_outcome(profile, config, lambda p, c: run(p, c, winner=rules.winner))
+    if mode is ConstraintMode.STRICT:
+        assert got[1][:2] == (ConstraintViolationError, "agent 0 at iteration 0: displacement "
+                              "law violated: moved 0.0, expected exactly 1.0")
+    else:
+        assert got[1][:2] == (InfeasibleStepError, "agent 1 at iteration 0: the distance to "
+                              "the winner overflows to inf, too far to scale a step of 1.0 "
+                              "toward it")
 
 
 @pytest.mark.parametrize("agents", [1, 3])
@@ -626,3 +694,63 @@ def test_array_sums_equal_the_per_agent_total_bit_for_bit(rows):
             got = arrays._sums(layout)
         same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
         assert same.all(), (rows[~same], got[~same], want[~same])
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _stepped(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` doubles up (or down, when negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def _tie(lead: int, exponent: int) -> float:
+    """The double nearest the decimal ``lead`` followed by a 5, times 10**exponent."""
+    return float(f"{lead}5e{exponent}")
+
+
+_NEIGHBOUR = st.integers(-3, 3)
+_KERNEL_INPUTS = st.one_of(
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(_from_bits),  # raw 64-bit patterns
+    st.integers(1, 2 ** 52 - 1).map(_from_bits),  # subnormals
+    st.builds(_stepped, st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)), _NEIGHBOUR),
+    st.builds(_stepped, st.integers(-323, 308).map(lambda k: float(f"1e{k}")), _NEIGHBOUR),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(2 ** 53 - 1000, 2 ** 53 + 1000).map(float),
+    st.integers(10 ** 16 - 1000, 10 ** 16 + 1000).map(float),
+    st.builds(_stepped, st.sampled_from([1e-4, 1e-5, 1e15, 1e16, 1e17]), _NEIGHBOUR),
+    # decimals halfway between two of 15, 16 or 17 digits
+    st.builds(_stepped, st.builds(_tie, st.one_of(
+        st.integers(10 ** (k - 1), 10 ** k - 1) for k in (15, 16, 17)
+    ), st.integers(-30, 30)), _NEIGHBOUR),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _texts_agree(values) -> None:
+    values = np.array(values, dtype=np.float64)
+    texts = arrays._lines(arrays._float_columns(values).T[:, None], arrays._NEWLINE)
+    assert texts == [json.dumps(v) for v in values.tolist()]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_KERNEL_INPUTS, st.booleans()), min_size=1, max_size=40))
+def test_the_float_text_kernel_writes_what_json_dumps_writes(drawn):
+    _texts_agree([-v if negate else v for v, negate in drawn])
+
+
+def test_the_float_text_kernel_agrees_on_every_power_of_two_and_ten_and_their_neighbours():
+    powers = np.concatenate((np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-323, 309)]))
+    _texts_agree([_stepped(p, k) for p in powers.tolist() for k in range(-3, 4)])
+
+
+def test_the_float_text_kernel_agrees_on_random_bit_patterns_and_decimals():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(-(2 ** 63), 2 ** 63 - 1, 20_000, dtype=np.int64, endpoint=True)
+    _texts_agree(bits.view(np.float64))
+    _texts_agree(rng.uniform(0.0, 10.0, 20_000))
+    _texts_agree(rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.integers(-20, 20, 20_000))

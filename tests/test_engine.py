@@ -232,7 +232,7 @@ def test_a_scripted_real_vector_run_makes_no_per_agent_calls(monkeypatch):
     calls = _count_per_agent_calls(monkeypatch)
     report, _ = run_example3(30)
     assert report.states == 31
-    assert report.trace[0].array is not None
+    assert report.trace[0].run_arrays is not None
     assert calls["check"] == 0
     assert calls["winner"] == 0
 

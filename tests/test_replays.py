@@ -1,5 +1,7 @@
 """Replays of the canonical runs and the self-verification harness."""
 
+import dataclasses
+
 import pytest
 
 from delibsim import (
@@ -12,7 +14,9 @@ from delibsim import (
     VotingRule,
     winner,
 )
+from delibsim import replays
 from delibsim.cli import main
+from delibsim.engine import _ArrayRecord
 from delibsim.replays import (
     MAX_ESCAPE_ITERATIONS,
     REPLAY_NAMES,
@@ -70,6 +74,23 @@ def test_example4_median_recedes_forever():
     assert report.outcome is Outcome.CAP_REACHED
     for j, rec in enumerate(report.trace):
         assert rec.winner.real_vector == (float(j), float(j), float(j))
+
+
+def test_escape_replay_names_the_first_wrong_winner(monkeypatch):
+    report, config = run_example3(6)
+    states, winners, distances, moved = report.trace[0].run_arrays
+    winners = winners.copy()
+    winners[3, 1] = 3.5
+    winners[5, 0] = -1.0
+    rows = (states, winners, distances, moved)
+    trace = tuple(_ArrayRecord(j, rows) for j in range(len(report.trace)))
+    wrong = dataclasses.replace(report, trace=trace)
+    monkeypatch.setattr(replays, "run_example3", lambda iterations: (wrong, config))
+    result = replay("example3", 6)
+    assert not result.passed
+    assert result.failures == (
+        "iteration 3: expected winner (3.0, 3.0, 3.0), got (3.0, 3.5, 3.0)",
+    )
 
 
 def test_escape_scripts_have_budget_plus_one_profiles():
