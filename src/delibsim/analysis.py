@@ -33,9 +33,8 @@ from .rules import (
     tiebreak_positions,
     winner,
 )
-from .spaces import Family, Metric, Point, SpaceSpec, dist, points_equal, total
+from .spaces import Family, Metric, Point, SpaceSpec, dist, exceeds, points_equal, total
 
-BALL_TOL = 1e-9
 BRUTEFORCE_MAX_CANDIDATES = 6
 ENCLOSING_BALL_MAX_DIM = 3
 ENCLOSING_BALL_MAX_POINTS = 10_000
@@ -311,10 +310,10 @@ def enclosing_ball_l2(
 
 def ball_containment(initial: Profile, final_point: Point) -> bool:
     """Whether the final point sits inside the initial profile's smallest
-    enclosing ball (straight-line metric), within a fixed tolerance."""
+    enclosing ball (straight-line metric), within the space's tolerance."""
     center, diameter = enclosing_ball_l2(initial.points)
     gap = math.dist(final_point.real_vector, center)
-    return gap <= diameter / 2.0 + BALL_TOL
+    return not exceeds(initial.spec, gap, diameter / 2.0)
 
 
 def sum_distance_to_winner(profile: Profile, w: Point) -> float:

@@ -9,11 +9,13 @@ row, with the same floating-point operations in the same order, so results
 match it bit for bit:
 
 * sums that the per-agent code takes with ``spaces.total`` (taxicab
-  distances, the straight-line norm inside ``move_l2``, the mean) are one
-  ``np.add.accumulate`` along the summed axis, which adds left to right as
-  ``total`` does; ``np.sum`` adds pairwise, so it is not used;
-* Euclidean distances use ``math.hypot`` and the straight-line norm uses
-  ``** 0.5``, which differs from ``np.sqrt`` in the last bit on some inputs;
+  distances, the mean) are one ``np.add.accumulate`` along the summed axis,
+  which adds left to right as ``total`` does; ``np.sum`` adds pairwise, so
+  it is not used;
+* Euclidean distances use ``math.hypot``, as ``spaces.dist_lp`` does;
+  ``np.hypot`` can differ from it in the last bit;
+* a move's length is the agent's distance to the winner, which the run has
+  already computed, so no kernel measures a move again;
 * everything else (differences, scaling, clipping, comparisons, maxima,
   medians, counts) is exact elementwise work that numpy does in one pass;
   tolerance comparisons go through ``spaces.differs`` and ``spaces.exceeds``,
@@ -394,9 +396,10 @@ def move(
     d: np.ndarray,
     epsilon: float,
 ) -> np.ndarray:
-    """Every agent's default move toward ``w``; ``d`` holds the distances to it.
+    """Every agent's default move toward ``w``; ``d`` holds the distances to
+    it, which are the moves' lengths, as in ``policies.move_real``.
 
-    A scaled move toward a winner at an infinite length raises
+    A scaled move toward a winner at an infinite distance raises
     ``InfeasibleStepError``, as ``MovePolicy.move`` does.
     """
     if space.family is Family.BINARY:
@@ -405,12 +408,6 @@ def move(
         flip = disagree & (np.cumsum(disagree, axis=1) <= int(epsilon))
         return state ^ flip.astype(_BALLOT)
     gaps = w - state
-    if space.distance is Metric.L2:
-        norms = np.array([s ** 0.5 for s in _sums(gaps * gaps).tolist()])
-    elif space.distance is Metric.LINF:
-        norms = np.abs(gaps).max(axis=1)
-    else:
-        norms = d
     if space.distance is Metric.L1 and l1_mode is L1Mode.COORD_ORDER:
         # the budget left before each coordinate, spent in coordinate order;
         # it stays positive while whole gaps are taken and drops to zero or
@@ -423,10 +420,10 @@ def move(
         steps = np.minimum(size, budget)
         stepped = np.where(active, state + np.where(gaps > 0, steps, -steps), state)
     else:
-        if (norms == math.inf).any():
+        if (d == math.inf).any():
             raise InfeasibleStepError(too_far_message(math.inf, epsilon))
-        stepped = state + (epsilon / np.where(norms > 0, norms, 1.0))[:, None] * gaps
-    return np.where((norms <= epsilon)[:, None], w, stepped)
+        stepped = state + (epsilon / np.where(d > 0, d, 1.0))[:, None] * gaps
+    return np.where((d <= epsilon)[:, None], w, stepped)
 
 
 def failing(

@@ -4,8 +4,10 @@ Each iteration computes the current winner, then moves every agent against
 that same winner (moves never see each other's updates within an
 iteration).  A run ends in one of three ways:
 
-* CONVERGED  - an iteration moved nobody, which means every agent sits on
-  the winner, i.e. the profile is a consensus;
+* CONVERGED  - an iteration moved nobody and its profile is a consensus
+  (``is_consensus``).  An iteration that moves nobody from a profile that
+  is no consensus raises ``InfeasibleStepError``: some agent's step was lost,
+  too small to change its point beyond the tolerance;
 * CYCLE      - a profile reappeared (period and first index are reported);
   the per-agent path checks for this on discrete spaces.  The array path's
   one discrete rule, bitwise majority, cannot cycle: default Hamming moves
@@ -71,7 +73,7 @@ from .policies import (
 )
 from .rules import Profile, RuleSpec, VotingRule
 from .spaces import (
-    Family, Metric, Point, SpaceSpec, dist, exceeds, points_equal, validate_point
+    Family, Metric, Point, SpaceSpec, differs, dist, exceeds, points_equal, validate_point
 )
 
 #: fallback iteration budget when no initial distance is available
@@ -396,6 +398,18 @@ def _terminal_record(
     return IterationRecord(index, profile.points, w, distances)
 
 
+def _lost_step(iteration: int, distances, epsilon: float) -> InfeasibleStepError:
+    """The error for an idle state that is no consensus, naming the agent
+    farthest from the winner: its step was lost, too small to change its
+    point beyond the tolerance."""
+    agent = max(range(len(distances)), key=distances.__getitem__)
+    return InfeasibleStepError(
+        f"agent {agent} at iteration {iteration}: the step of {epsilon} toward the winner, "
+        f"{distances[agent]} away, was lost: nobody moved by more than the tolerance, "
+        "but the profile is no consensus"
+    )
+
+
 def _default_max_iters(space: SpaceSpec, distances: tuple[float, ...], epsilon: float) -> int:
     """The budget for a run whose first state has these distances to its winner."""
     far = max(distances)
@@ -450,6 +464,8 @@ def _iterate(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn])
         if max_iters is None:
             max_iters = _default_max_iters(config.space, record.distances, config.epsilon)
         if not any(record.moved):
+            if not is_consensus(profile):
+                raise _lost_step(j, record.distances, config.epsilon)
             return trace, Outcome.CONVERGED, record.winner, None
         profile = next_profile
         j += 1
@@ -475,8 +491,9 @@ def _run_arrays(initial: Profile, config: EngineConfig) -> _Ending:
     makes the next; an array script's is up to ``SCRIPT_BLOCK_ROWS // n`` of
     its states.  Iteration 0 is judged alone, before its distances size a
     missing budget.  The run ends at the first failing move, the first
-    iteration that moves nobody, or the budget; a script too short for it
-    raises as ``MovePolicy`` does.  Far-apart points give infinite distances,
+    iteration that moves nobody (which raises unless its state is a
+    consensus), or the budget; a script too short for it raises as
+    ``MovePolicy`` does.  Far-apart points give infinite distances,
     without numpy's overflow warnings.
     """
     space, rule, epsilon = config.space, config.rule.rule, config.epsilon
@@ -537,6 +554,9 @@ def _run_arrays(initial: Profile, config: EngineConfig) -> _Ending:
                 end = min(budget, reach)
             if idle:
                 end = j + len(w) - 1
+                # ``is_consensus`` of the idle state, without building its points
+                if differs(space, rows[-n], rows[-n:]).any():
+                    raise _lost_step(end, d[-n:].tolist(), epsilon)
                 break
             j += len(w)
         else:

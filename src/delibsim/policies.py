@@ -6,11 +6,13 @@ A move from v toward the winner w with step size epsilon must
 * displace the agent by exactly epsilon (any smaller displacement is fine
   once the agent reaches w).
 
-``check_constraints`` verifies both laws for a proposed move.  Under the
-deepest-disagreement metric only a relaxed first law is checkable: suffix
-copying can overshoot the target distance (rankings have no point at
-distance 1 from w, for instance), so runs over that metric use
-``ConstraintMode.APPROACH_ONLY``, which accepts any sufficient approach.
+A real-vector move's length is the distance the laws are stated in, the
+one ``spaces.dist_lp`` gives (``move_real``).  ``check_constraints``
+verifies both laws for a proposed move.  Under the deepest-disagreement
+metric only a relaxed first law is checkable: suffix copying can overshoot
+the target distance (rankings have no point at distance 1 from w, for
+instance), so runs over that metric use ``ConstraintMode.APPROACH_ONLY``,
+which accepts any sufficient approach.
 
 Each space has a deterministic default policy; binary and ranking spaces
 also offer seeded-random variants that pick uniformly among the eligible
@@ -44,9 +46,9 @@ from .spaces import (
     dist,
     dist_first_changed,
     dist_hamming,
+    dist_lp,
     dist_swap,
     exceeds,
-    total,
 )
 
 
@@ -150,53 +152,42 @@ def _as_step_count(epsilon: float) -> int:
 
 
 def too_far_message(length: float, epsilon: float) -> str:
-    """Why no step can be scaled toward a winner whose distance, as the move
-    measures it, overflows to ``length``: the factor ``epsilon / length`` is 0,
-    and an infinite gap times 0 is NaN."""
+    """Why no step can be scaled toward a winner whose distance overflows to
+    ``length``: the factor ``epsilon / length`` is 0, and an infinite gap
+    times 0 is NaN."""
     return (f"the distance to the winner overflows to {length}, too far to scale a step "
             f"of {epsilon} toward it")
 
 
-def _scaled_move(v: Point, w: Point, gaps: list, d: float, epsilon: float) -> Point:
-    """``w`` when within ``epsilon``, else ``v`` moved ``epsilon / d`` of each gap."""
+def move_real(
+    space: SpaceSpec, v: Point, w: Point, epsilon: float, mode: L1Mode = L1Mode.COORD_ORDER
+) -> Point:
+    """Move ``epsilon`` toward ``w``, or onto it when within reach.
+
+    The move's length is ``d = dist_lp(v, w)``.  A scaled move goes
+    ``epsilon / d`` of each gap, along the straight line to ``w``: under l2
+    that is the only point both laws allow, under l-inf and proportional l1
+    one of them.  Coordinate-order l1 spends the step budget on the gaps in
+    coordinate order instead.
+    """
+    d = dist_lp(space, v, w)
     if d <= epsilon:
         return w
+    gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
+    if space.distance is Metric.L1 and mode is L1Mode.COORD_ORDER:
+        out = list(v.real_vector)
+        budget = epsilon
+        for i, g in enumerate(gaps):
+            if budget <= 0:
+                break
+            step = min(abs(g), budget)
+            out[i] += step if g > 0 else -step
+            budget -= step
+        return Point.reals(out)
     if d == math.inf:
         raise InfeasibleStepError(too_far_message(d, epsilon))
     f = epsilon / d
     return Point.reals(a + f * g for a, g in zip(v.real_vector, gaps))
-
-
-def move_l2(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
-    """Straight-line move; the unique point satisfying both laws."""
-    gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    return _scaled_move(v, w, gaps, total(g * g for g in gaps) ** 0.5, epsilon)
-
-
-def move_l1(
-    space: SpaceSpec, v: Point, w: Point, epsilon: float, mode: L1Mode = L1Mode.COORD_ORDER
-) -> Point:
-    """Taxicab move: spend the step budget coordinate by coordinate, or
-    spread it proportionally to each coordinate's gap."""
-    gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    d = total(abs(g) for g in gaps)
-    if d <= epsilon or mode is L1Mode.PROPORTIONAL:
-        return _scaled_move(v, w, gaps, d, epsilon)
-    out = list(v.real_vector)
-    budget = epsilon
-    for i, g in enumerate(gaps):
-        if budget <= 0:
-            break
-        step = min(abs(g), budget)
-        out[i] += step if g > 0 else -step
-        budget -= step
-    return Point.reals(out)
-
-
-def move_linf(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
-    """Straight-line move scaled so the largest coordinate change is epsilon."""
-    gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
-    return _scaled_move(v, w, gaps, max(abs(g) for g in gaps), epsilon)
 
 
 def move_hamming(
@@ -383,11 +374,7 @@ class MovePolicy:
         if space.distance is Metric.FIRST_CHANGED:
             return move_first_changed(space, v, w, epsilon)
         if space.family is Family.EUCLIDEAN:
-            if space.distance is Metric.L1:
-                return move_l1(space, v, w, epsilon, self.spec.l1_mode)
-            if space.distance is Metric.L2:
-                return move_l2(space, v, w, epsilon)
-            return move_linf(space, v, w, epsilon)
+            return move_real(space, v, w, epsilon, self.spec.l1_mode)
         if space.family is Family.BINARY:
             return move_hamming(space, v, w, epsilon, rng)
         return move_swap(space, v, w, epsilon, rng)

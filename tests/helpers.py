@@ -43,6 +43,13 @@ def ranking_space(metric: Metric, m: int) -> SpaceSpec:
     return SpaceSpec(Family.RANKING, metric, num_candidates=m)
 
 
+def lost_step(agent: int, distance: float, epsilon: float = 1.0, iteration: int = 0) -> str:
+    """The text of the error for an idle profile that is no consensus."""
+    return (f"agent {agent} at iteration {iteration}: the step of {epsilon} toward the "
+            f"winner, {distance} away, was lost: nobody moved by more than the tolerance, "
+            "but the profile is no consensus")
+
+
 def bfs_swap_distance(a, b) -> int:
     """Shortest path between two rankings in the adjacent-transposition graph."""
     a, b = tuple(a), tuple(b)

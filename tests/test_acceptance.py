@@ -44,7 +44,6 @@ from delibsim.profiles import worst_case_swf, worst_case_vnw
 
 from helpers import binary, euclidean, ranking_space
 
-BALL_TOL = 1e-9
 UNIQUENESS_TOL = 1e-9
 ESCAPE_ITERATIONS = 500
 

@@ -49,7 +49,7 @@ from delibsim.analysis import BoundKind, iteration_bound, winner_stability
 from delibsim.engine import check_array_moves
 from delibsim.spaces import EUCLIDEAN_EQ_TOL, total
 
-from helpers import binary, euclidean, reference_jsonl, reference_run
+from helpers import binary, euclidean, lost_step, reference_jsonl, reference_run
 
 _MODES = (ConstraintMode.STRICT, ConstraintMode.APPROACH_ONLY)
 
@@ -550,10 +550,7 @@ def test_an_infinite_spread_raises_alike_on_both_paths_without_warnings(mode, me
 @pytest.mark.parametrize("mode", _MODES)
 @pytest.mark.parametrize("metric, l1_mode, spread", [
     (Metric.L2, L1Mode.COORD_ORDER, 1.5e308), (Metric.LINF, L1Mode.COORD_ORDER, 1.5e308),
-    (Metric.L1, L1Mode.PROPORTIONAL, 1.5e308),
-    # the l2 distance (hypot) is finite, but the move's sum of squares overflows;
-    # the approach-only mode once let both agents stay and called it a consensus
-    (Metric.L2, L1Mode.COORD_ORDER, 1e200)])
+    (Metric.L1, L1Mode.PROPORTIONAL, 1.5e308)])
 def test_a_scaled_move_toward_an_infinitely_far_winner_raises_on_both_paths(
     mode, metric, l1_mode, spread
 ):
@@ -566,6 +563,65 @@ def test_a_scaled_move_toward_an_infinitely_far_winner_raises_on_both_paths(
             run(profile, config, winner=winner)
         assert str(raised.value) == ("agent 0 at iteration 0: the distance to the winner "
                                      "overflows to inf, too far to scale a step of 1.0 toward it")
+
+
+@pytest.mark.parametrize("mode, error, message", [
+    (ConstraintMode.STRICT, ConstraintViolationError,
+     "agent 0 at iteration 0: displacement law violated: moved 0.0, expected exactly 1.0"),
+    (ConstraintMode.APPROACH_ONLY, InfeasibleStepError, lost_step(0, 2e200)),
+], ids=["strict", "approach_only"])
+def test_a_step_lost_to_rounding_at_a_finite_distance_raises_on_both_paths(mode, error, message):
+    # the l2 move scales by hypot's finite 2e200, but -1e200 + 1 == -1e200:
+    # the strict mode refuses the move, and the approach-only mode, which
+    # accepts it, must not call the two agents a consensus
+    space = euclidean(Metric.L2, 1)
+    profile = Profile(space, (Point.reals((-1e200,)), Point.reals((1e200,))))
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(constraint_mode=mode),
+                          max_iters=5)
+    for winner in (None, rules.winner):  # the array path, then step
+        with pytest.raises(error) as raised:
+            run(profile, config, winner=winner)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("case", ["small steps", "far apart"])
+def test_an_idle_profile_that_is_no_consensus_raises_on_both_paths(case):
+    if case == "small steps":
+        # every step of 1e-10 is below the tolerance, so nobody counts as moved
+        space = euclidean(Metric.L2, 2)
+        profile = generate(GeneratorSpec(space, n=7, seed=3))
+        config = EngineConfig(space, RuleSpec(VotingRule.MEAN), epsilon=1e-10)
+        message = lost_step(3, 5.968455983867633, epsilon=1e-10)
+    else:
+        # -1e17 + 1 == -1e17: the coordinate-order step is lost to rounding
+        space = euclidean(Metric.L1, 1)
+        profile = Profile(space, (Point.reals((-1e17,)), Point.reals((1e17,))))
+        config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN),
+                              PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY),
+                              max_iters=5)
+        message = lost_step(0, 2e17)
+    for winner in (None, rules.winner):  # the array path, then step
+        with pytest.raises(InfeasibleStepError) as raised:
+            run(profile, config, winner=winner)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("metric", [Metric.L1, Metric.L2, Metric.LINF])
+def test_runs_far_from_the_origin_converge_alike_under_every_metric(metric):
+    # the l2 move's length is hypot's, so its squares no longer overflow
+    x = 1e200
+    space = euclidean(metric, 1)
+    profile = Profile(space, tuple(Point.reals((v,)) for v in (-x, x, x / 2)))
+    config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN),
+                          PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY),
+                          epsilon=x / 4, max_iters=20)
+    got = run(profile, config)
+    want = run(profile, config, winner=rules.winner)
+    for report in (got, want):
+        assert report.outcome is Outcome.CONVERGED
+        assert report.moving_iterations == 6
+        assert report.point == Point.reals((x / 2,))
+    assert _jsonl(got, space) == _jsonl(want, space)
 
 
 @pytest.mark.parametrize("mode", _MODES)

@@ -34,7 +34,7 @@ from delibsim.cli import (
 from delibsim.profiles import setup_from_json, space_to_json, write_trace_jsonl
 from delibsim.replays import MAX_ESCAPE_ITERATIONS, example3_script
 
-from helpers import binary, euclidean, ranking_space
+from helpers import binary, euclidean, lost_step, ranking_space
 
 
 def run_cli(*argv):
@@ -193,6 +193,28 @@ def test_run_profile_space_mismatch(tmp_path, capsys):
     )
     assert code == EXIT_ERROR
     assert "differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # steps of 1e-10 are below the tolerance
+    ({"space": {"family": "euclidean", "distance": "l2", "dimension": 2}, "rule": "mean",
+      "n": 7, "seed": 3, "epsilon": 1e-10},
+     lost_step(3, 5.968455983867633, epsilon=1e-10)),
+    # -1e17 + 1 == -1e17, and -1e200 + 1 == -1e200
+    ({"profile": {"space": {"family": "euclidean", "distance": "l1", "dimension": 1},
+                  "points": [[-1e17], [1e17]]},
+      "rule": "median", "policy": {"constraint_mode": "approach_only"}, "max_iters": 5},
+     lost_step(0, 2e17)),
+    ({"profile": {"space": {"family": "euclidean", "distance": "l2", "dimension": 1},
+                  "points": [[-1e200], [1e200]]},
+      "rule": "median", "policy": {"constraint_mode": "approach_only"}, "max_iters": 5},
+     lost_step(0, 2e200)),
+])
+def test_a_lost_step_is_an_error_not_a_consensus(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("run", str(path)) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # --- config keys -------------------------------------------------------------

@@ -26,9 +26,7 @@ from delibsim import (
 from delibsim.policies import (
     move_first_changed,
     move_hamming,
-    move_l1,
-    move_l2,
-    move_linf,
+    move_real,
     move_swap,
 )
 
@@ -41,7 +39,7 @@ from helpers import binary, euclidean, ranking_space
 def test_move_l2_straight_line():
     space = euclidean(Metric.L2, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 4.0))
-    out = move_l2(space, v, w, 1.0)
+    out = move_real(space, v, w, 1.0)
     assert out.real_vector == pytest.approx((0.6, 0.8))
     assert dist(space, out, w) == pytest.approx(4.0)
 
@@ -49,34 +47,34 @@ def test_move_l2_straight_line():
 def test_move_l2_snaps_within_reach():
     space = euclidean(Metric.L2, 2)
     v, w = Point.reals((0.3, 0.4)), Point.reals((0.0, 0.0))
-    assert move_l2(space, v, w, 0.5) is w
-    assert move_l2(space, v, w, 2.0) is w
+    assert move_real(space, v, w, 0.5) is w
+    assert move_real(space, v, w, 2.0) is w
 
 
 def test_move_l1_coordinate_order_spends_left_to_right():
     space = euclidean(Metric.L1, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 1.0))
-    assert move_l1(space, v, w, 2.0).real_vector == (2.0, 0.0)
-    assert move_l1(space, v, w, 3.5).real_vector == (3.0, 0.5)
+    assert move_real(space, v, w, 2.0).real_vector == (2.0, 0.0)
+    assert move_real(space, v, w, 3.5).real_vector == (3.0, 0.5)
 
 
 def test_move_l1_proportional_splits_by_gap():
     space = euclidean(Metric.L1, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 1.0))
-    out = move_l1(space, v, w, 2.0, L1Mode.PROPORTIONAL)
+    out = move_real(space, v, w, 2.0, L1Mode.PROPORTIONAL)
     assert out.real_vector == pytest.approx((1.5, 0.5))
 
 
 def test_move_l1_handles_negative_gaps():
     space = euclidean(Metric.L1, 2)
     v, w = Point.reals((5.0, 0.0)), Point.reals((2.0, 0.0))
-    assert move_l1(space, v, w, 1.0).real_vector == (4.0, 0.0)
+    assert move_real(space, v, w, 1.0).real_vector == (4.0, 0.0)
 
 
 def test_move_linf_scales_all_coordinates():
     space = euclidean(Metric.LINF, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((4.0, 1.0))
-    out = move_linf(space, v, w, 1.0)
+    out = move_real(space, v, w, 1.0)
     assert out.real_vector == pytest.approx((1.0, 0.25))
     assert dist(space, out, w) == pytest.approx(3.0)
 
@@ -197,13 +195,7 @@ def test_euclidean_moves_obey_strict_laws(dim, metric, eps, data):
     w = Point.reals(data.draw(coords))
     space = euclidean(metric, dim)
     for mode in (L1Mode.COORD_ORDER, L1Mode.PROPORTIONAL):
-        if metric is Metric.L1:
-            out = move_l1(space, v, w, eps, mode)
-        elif metric is Metric.L2:
-            out = move_l2(space, v, w, eps)
-        else:
-            out = move_linf(space, v, w, eps)
-        _strict_ok(space, v, out, w, eps)
+        _strict_ok(space, v, move_real(space, v, w, eps, mode), w, eps)
 
 
 @given(st.integers(1, 10), st.integers(1, 4), st.data())
