@@ -28,6 +28,7 @@ from .rules import (
     RuleSpec,
     VotingRule,
     candidate_scores,
+    require_compatible,
     scoring_ranking,
     stv_rounds,
     tiebreak_positions,
@@ -99,6 +100,7 @@ def potential_scoring(
     """Potential vector for a scoring rule, triplets in winner order."""
     if kind not in SCORING_RULES:
         raise ConfigurationError(f"{kind.value} is not a scoring rule")
+    require_compatible(RuleSpec(kind, order), profile.spec)
     m = profile.spec.num_candidates
     scores = candidate_scores(profile, kind)
     borda = candidate_scores(profile, VotingRule.BORDA)
@@ -117,6 +119,7 @@ def potential_stv(profile: Profile, order: Sequence[int]) -> PotentialVector:
     its final-round count).  Triplets run from the winner's last place to
     its first, which is exactly elimination order.
     """
+    require_compatible(RuleSpec(VotingRule.STV, order), profile.spec)
     m = profile.spec.num_candidates
     borda = candidate_scores(profile, VotingRule.BORDA)
     priority = [m - 1 - pos for pos in tiebreak_positions(m, order)]

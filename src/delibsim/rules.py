@@ -10,6 +10,11 @@ Rules that order candidates by score take a tiebreak order: a fixed
 permutation of the candidate indices, earlier meaning preferred.  Ties in
 scores are broken toward the earlier candidate; ties when picking an
 elimination loser are broken against the later candidate.
+
+A rule is checked once, at the boundary: ``RuleSpec`` checks that its order
+is a permutation, and ``require_compatible``, which ``winner`` calls, that
+the rule fits the space and has an order naming every candidate where it
+needs one.  The rule functions take what passed and do not check it again.
 """
 
 from __future__ import annotations
@@ -131,12 +136,6 @@ def tiebreak_positions(m: int, tiebreak: Optional[Sequence[int]]) -> list[int]:
     """Map candidate -> position in the tiebreak order (identity if none given)."""
     if tiebreak is None:
         return list(range(m))
-    if len(tiebreak) != m:
-        raise ConfigurationError(
-            f"tiebreak order lists {len(tiebreak)} candidates, space has {m}"
-        )
-    if sorted(tiebreak) != list(range(m)):
-        raise ConfigurationError("tiebreak order must be a permutation of the candidates")
     pos = [0] * m
     for i, c in enumerate(tiebreak):
         pos[c] = i
@@ -166,8 +165,6 @@ def median_elementwise(profile: Profile) -> Point:
 
 def bitwise_majority(profile: Profile) -> Point:
     """Entry-wise majority ballot; an exact tie resolves to 1."""
-    if profile.spec.committee_size is not None:
-        raise ConfigurationError("bitwise majority applies to unconstrained ballots")
     n = profile.n
     ballots = [p.bits for p in profile.points]
     return Point.of_bits(1 if 2 * sum(col) >= n else 0 for col in zip(*ballots))
@@ -179,11 +176,7 @@ def topk_majority(profile: Profile, k: int, tiebreak: Optional[Sequence[int]] = 
     Equal approval counts are resolved toward the candidate earlier in the
     tiebreak order, which is required.
     """
-    if tiebreak is None:
-        raise ConfigurationError("topk_majority needs a tiebreak order")
-    m = len(profile.points[0].bits)
-    if not 1 <= k <= m:
-        raise ConfigurationError(f"committee size {k} out of range for {m} candidates")
+    m = profile.spec.num_candidates
     tpos = tiebreak_positions(m, tiebreak)
     approvals = [0] * m
     for p in profile.points:
@@ -241,8 +234,6 @@ def candidate_scores(profile: Profile, kind: VotingRule) -> list[int]:
     counted from 1, so a first place is worth m - 1.  Copeland counts
     strictly won pairwise matches; pairwise ties contribute nothing.
     """
-    if kind not in SCORING_RULES:
-        raise ConfigurationError(f"{kind.value} is not a scoring rule")
     m = profile.spec.num_candidates
     if kind is VotingRule.PLURALITY:
         scores = [0] * m
@@ -266,8 +257,6 @@ def candidate_scores(profile: Profile, kind: VotingRule) -> list[int]:
 
 def scoring_ranking(profile: Profile, kind: VotingRule, tiebreak: Sequence[int]) -> Point:
     """Rank candidates by descending score, tiebreak order deciding equal scores."""
-    if tiebreak is None:
-        raise ConfigurationError("scoring rules need a tiebreak order")
     m = profile.spec.num_candidates
     tpos = tiebreak_positions(m, tiebreak)
     scores = candidate_scores(profile, kind)
@@ -283,8 +272,6 @@ def stv_rounds(profile: Profile, tiebreak: Sequence[int]) -> list[tuple[int, int
     count at elimination time) in elimination order.  A count tie eliminates
     the candidate later in the tiebreak order.
     """
-    if tiebreak is None:
-        raise ConfigurationError("stv needs a tiebreak order")
     m = profile.spec.num_candidates
     tpos = tiebreak_positions(m, tiebreak)
     ballots = [list(p.ranking) for p in profile.points]

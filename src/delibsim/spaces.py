@@ -7,8 +7,12 @@ immutable value and every function is pure.
 
 A point is validated once, where it enters the program: ``Profile`` and
 ``point_from_json`` check theirs, ``EngineConfig`` checks a script's points
-and the engine's referee checks each proposed move.  The distance functions
-take valid points of their space and do not check them again.
+and the engine's referee checks each proposed move.  ``SpaceSpec`` matches
+the metric to the family when it is built.  So the distance functions take
+valid points of their space, under its metric, and check neither again.
+``point_from_json`` reads an array entry only as the number it is: a
+boolean is refused everywhere, and a fraction in a ballot or ranking, not
+truncated.
 
 This module owns the tolerance: every comparison of coordinates, distances
 or step lengths goes through ``differs`` and ``exceeds``, which take Python
@@ -21,6 +25,7 @@ gives the same bits on every Python version and on the array path.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -194,8 +199,6 @@ def total(values: Iterable[float]) -> float:
 
 def dist_lp(space: SpaceSpec, x: Point, y: Point) -> float:
     """Minkowski distance on real vectors, selected by the space's metric."""
-    if space.family is not Family.EUCLIDEAN:
-        raise InvalidPointError("dist_lp requires a euclidean space")
     diffs = [abs(a - b) for a, b in zip(x.real_vector, y.real_vector)]
     if space.distance is Metric.L1:
         return total(diffs)
@@ -206,8 +209,6 @@ def dist_lp(space: SpaceSpec, x: Point, y: Point) -> float:
 
 def dist_hamming(space: SpaceSpec, x: Point, y: Point) -> int:
     """Number of entries at which two ballots differ."""
-    if space.family is not Family.BINARY:
-        raise InvalidPointError("dist_hamming requires a binary space")
     return sum(a != b for a, b in zip(x.bits, y.bits))
 
 
@@ -218,8 +219,6 @@ def dist_first_changed(space: SpaceSpec, x: Point, y: Point) -> int:
     suffix.  This is an ultrametric: extending the shared suffix is the only
     way to get closer.
     """
-    if space.family is Family.EUCLIDEAN:
-        raise InvalidPointError("dist_first_changed requires a discrete space")
     a, b = x.values, y.values
     for i in range(len(a) - 1, -1, -1):
         if a[i] != b[i]:
@@ -233,8 +232,6 @@ def dist_swap(space: SpaceSpec, x: Point, y: Point) -> int:
     Computed as the number of candidate pairs the two rankings order
     differently.
     """
-    if space.family is not Family.RANKING:
-        raise InvalidPointError("dist_swap requires a ranking space")
     pos = {c: i for i, c in enumerate(y.ranking)}
     seq = [pos[c] for c in x.ranking]
     inversions = 0
@@ -304,15 +301,26 @@ def _point_from_literal(space: SpaceSpec, obj) -> Point:
     if space.family is Family.EUCLIDEAN:
         if not isinstance(obj, Sequence) or isinstance(obj, str):
             raise InvalidPointError(f"expected a coordinate array, got {obj!r}")
-        return Point.reals(float(x) for x in obj)
+        return Point.reals(_entries(obj, whole=False))
     if space.family is Family.BINARY:
         if isinstance(obj, str):
             if not set(obj) <= {"0", "1"}:
                 raise InvalidPointError(f"ballot string must be 0/1 only, got {obj!r}")
             return Point.of_bits(obj)
         if isinstance(obj, Sequence):
-            return Point.of_bits(int(x) for x in obj)
+            return Point.of_bits(_entries(obj, whole=True))
         raise InvalidPointError(f"expected a 0/1 string, got {obj!r}")
     if not isinstance(obj, Sequence) or isinstance(obj, str):
         raise InvalidPointError(f"expected a candidate index array, got {obj!r}")
-    return Point.of_ranking(int(x) for x in obj)
+    return Point.of_ranking(_entries(obj, whole=True))
+
+
+def _entries(obj: Sequence, whole: bool) -> Sequence:
+    """The entries of an array literal, each a number (a bool is none), and
+    integral where ``whole``: ``1.0`` passes as 1, ``1.5`` does not."""
+    for i, x in enumerate(obj):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise InvalidPointError(f"entry {i} = {x!r} is not a number")
+        if whole and x != math.floor(x):
+            raise InvalidPointError(f"entry {i} = {x!r} is not an integer")
+    return obj

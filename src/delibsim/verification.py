@@ -136,7 +136,7 @@ def _check_mean(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
         config = EngineConfig(space, rule, epsilon=epsilon)
         report = run(profile, config, winner)
         sums = [
-            sum_distance_to_winner(Profile(space, r.points), r.winner)
+            sum_distance_to_winner(Profile.of_checked(space, r.points), r.winner)
             for r in report.trace
         ]
         shrinking = all(a > b for a, b in zip(sums, sums[1:]))
@@ -184,11 +184,13 @@ def _check_potential(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
         )
         report = run(profile, config, winner)
         if kind is VotingRule.STV:
-            vectors = [potential_stv(Profile(space, r.points), order) for r in report.trace]
+            vectors = [
+                potential_stv(Profile.of_checked(space, r.points), order) for r in report.trace
+            ]
             expected = Comparison.LESS
         else:
             vectors = [
-                potential_scoring(Profile(space, r.points), kind, order)
+                potential_scoring(Profile.of_checked(space, r.points), kind, order)
                 for r in report.trace
             ]
             expected = Comparison.GREATER

@@ -14,6 +14,7 @@ from collections import deque
 from delibsim import (
     ConfigurationError,
     Family,
+    InfeasibleStepError,
     IterationRecord,
     Metric,
     MovePolicy,
@@ -41,6 +42,16 @@ def binary(metric: Metric, m: int, k=None) -> SpaceSpec:
 
 def ranking_space(metric: Metric, m: int) -> SpaceSpec:
     return SpaceSpec(Family.RANKING, metric, num_candidates=m)
+
+
+#: point literals that a parser must refuse, not truncate: (space, literal, error text)
+REFUSED_POINT_LITERALS = (
+    (ranking_space(Metric.SWAP, 3), [0, 1.5, 2], "entry 1 = 1.5 is not an integer"),
+    (binary(Metric.HAMMING, 3), [0.7, 1, 0], "entry 0 = 0.7 is not an integer"),
+    (binary(Metric.HAMMING, 3), [True, False, 1], "entry 0 = True is not a number"),
+    (ranking_space(Metric.SWAP, 3), [True, 0, 2], "entry 0 = True is not a number"),
+    (euclidean(Metric.L2, 2), [True, 2], "entry 0 = True is not a number"),
+)
 
 
 def lost_step(agent: int, distance: float, epsilon: float = 1.0, iteration: int = 0) -> str:
@@ -178,6 +189,10 @@ def reference_run(initial, config):
         if max_iters is None:  # sized once iteration 0 has been stepped
             max_iters = default_budget(record.distances)
         if not any(record.moved):
+            if not is_consensus(profile):
+                d = record.distances
+                agent = max(range(len(d)), key=d.__getitem__)
+                raise InfeasibleStepError(lost_step(agent, d[agent], config.epsilon, j))
             outcome, point = Outcome.CONVERGED, record.winner
             break
         profile = nxt

@@ -100,10 +100,12 @@ def test_potential_stv_golden_vector():
 
 def test_potentials_reject_an_order_that_is_not_a_permutation():
     p = ranking_profile(3, *ORDINAL)
-    with pytest.raises(ConfigurationError):
-        potential_scoring(p, VotingRule.PLURALITY, (0, 0, 1))
-    with pytest.raises(ConfigurationError):
-        potential_stv(p, (0, 0, 1))
+    # a repeat, a missing candidate, an extra one, and an index out of range
+    for order in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3)):
+        with pytest.raises(ConfigurationError):
+            potential_scoring(p, VotingRule.PLURALITY, order)
+        with pytest.raises(ConfigurationError):
+            potential_stv(p, order)
 
 
 def test_potential_stv_single_ballot():

@@ -24,6 +24,7 @@ from delibsim import (
     ConfigurationError,
     ConstraintMode,
     ConstraintViolationError,
+    DelibError,
     EngineConfig,
     GeneratorSpec,
     InfeasibleStepError,
@@ -107,8 +108,9 @@ def _random_case(seed: int):
 def _outcome(profile, config, runner):
     try:
         return runner(profile, config), None
-    except ConstraintViolationError as exc:
-        return None, (exc.agent, exc.iteration, str(exc))
+    except DelibError as exc:
+        return None, (type(exc), getattr(exc, "agent", None), getattr(exc, "iteration", None),
+                      str(exc))
 
 
 def _same_values(a, b, exact: bool) -> bool:
@@ -584,9 +586,15 @@ def test_a_step_lost_to_rounding_at_a_finite_distance_raises_on_both_paths(mode,
         assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("case", ["small steps", "far apart"])
+@pytest.mark.parametrize("case", ["small steps", "far apart", "close pair"])
 def test_an_idle_profile_that_is_no_consensus_raises_on_both_paths(case):
-    if case == "small steps":
+    if case == "close pair":
+        # 1.5e-9 apart, so no consensus, but each step of 7.5e-10 is below the tolerance
+        space = euclidean(Metric.L2, 1)
+        profile = Profile(space, (Point.reals((0.0,)), Point.reals((1.5e-9,))))
+        config = EngineConfig(space, RuleSpec(VotingRule.MEAN), epsilon=1.0)
+        message = lost_step(0, 7.5e-10)
+    elif case == "small steps":
         # every step of 1e-10 is below the tolerance, so nobody counts as moved
         space = euclidean(Metric.L2, 2)
         profile = generate(GeneratorSpec(space, n=7, seed=3))
@@ -600,9 +608,10 @@ def test_an_idle_profile_that_is_no_consensus_raises_on_both_paths(case):
                               PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY),
                               max_iters=5)
         message = lost_step(0, 2e17)
-    for winner in (None, rules.winner):  # the array path, then step
+    # the array path, then step, then the reference
+    for runner in (run, lambda *args: run(*args, winner=rules.winner), reference_run):
         with pytest.raises(InfeasibleStepError) as raised:
-            run(profile, config, winner=winner)
+            runner(profile, config)
         assert str(raised.value) == message
 
 

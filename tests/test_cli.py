@@ -34,7 +34,7 @@ from delibsim.cli import (
 from delibsim.profiles import setup_from_json, space_to_json, write_trace_jsonl
 from delibsim.replays import MAX_ESCAPE_ITERATIONS, example3_script
 
-from helpers import binary, euclidean, lost_step, ranking_space
+from helpers import REFUSED_POINT_LITERALS, binary, euclidean, lost_step, ranking_space
 
 
 def run_cli(*argv):
@@ -97,6 +97,16 @@ def test_run_with_profile_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert "moving_iterations=3" in out
     assert "winner=[5.0]" in out
+
+
+@pytest.mark.parametrize("space, literal, message", REFUSED_POINT_LITERALS)
+def test_run_refuses_a_profile_point_it_would_truncate(tmp_path, capsys, space, literal,
+                                                       message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"space": space_to_json(space), "points": [literal]}))
+    rule = {"euclidean": "mean", "binary": "majority", "ranking": "kemeny"}[space.family.value]
+    assert run_cli("run", "--profile", str(path), "--rule", rule) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_run_trace_output(tmp_path):

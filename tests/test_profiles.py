@@ -14,6 +14,7 @@ from delibsim import (
     EngineConfig,
     Family,
     GeneratorSpec,
+    InvalidPointError,
     Metric,
     Outcome,
     ParseError,
@@ -46,7 +47,7 @@ from delibsim.profiles import (
 )
 from delibsim.rules import bitwise_majority
 
-from helpers import binary, euclidean, ranking_space, reference_jsonl
+from helpers import REFUSED_POINT_LITERALS, binary, euclidean, ranking_space, reference_jsonl
 
 APPROACH = PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY)
 
@@ -164,6 +165,15 @@ def test_profile_file_round_trip(tmp_path):
     assert load_profile(str(path)) == profile
     raw = json.loads(path.read_text())
     assert raw["points"] == [[3.0], [5.0], [8.0]]
+
+
+@pytest.mark.parametrize("space, literal, message", REFUSED_POINT_LITERALS)
+def test_load_profile_refuses_bools_and_fractions(tmp_path, space, literal, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"space": space_to_json(space), "points": [literal]}))
+    with pytest.raises(InvalidPointError) as raised:
+        load_profile(str(path))
+    assert str(raised.value) == message
 
 
 def test_load_profile_bad_json_reports_location(tmp_path):

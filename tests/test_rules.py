@@ -98,9 +98,10 @@ def test_bitwise_majority_tie_resolves_to_one():
 
 
 def test_bitwise_majority_rejects_committees():
+    # refused at the boundary: require_compatible, which winner calls
     p = ballot_profile(4, "1100", "0110", k=2)
-    with pytest.raises(ConfigurationError):
-        bitwise_majority(p)
+    with pytest.raises(ConfigurationError, match="unconstrained ballots"):
+        winner(RuleSpec(VotingRule.MAJORITY), p)
 
 
 def test_topk_majority_picks_most_approved():
@@ -111,13 +112,13 @@ def test_topk_majority_picks_most_approved():
 
 
 def test_topk_majority_requires_tiebreak_and_valid_k():
+    # the tiebreak is refused by require_compatible, k by SpaceSpec
     p = ballot_profile(3, "110", "011", k=2)
-    with pytest.raises(ConfigurationError):
-        topk_majority(p, 2)
-    with pytest.raises(ConfigurationError):
-        topk_majority(p, 0, (0, 1, 2))
-    with pytest.raises(ConfigurationError):
-        topk_majority(p, 4, (0, 1, 2))
+    with pytest.raises(ConfigurationError, match="needs a tiebreak order"):
+        winner(RuleSpec(VotingRule.TOPK_MAJORITY), p)
+    for k in (0, 4):
+        with pytest.raises(ConfigurationError):
+            binary(Metric.HAMMING, 3, k=k)
 
 
 # --- kemeny ------------------------------------------------------------------
@@ -231,9 +232,10 @@ def test_stv_tie_eliminates_later_tiebreak_entry():
 
 
 def test_stv_requires_tiebreak():
+    # refused at the boundary: require_compatible, which winner calls
     p = ranking_profile(2, (0, 1))
-    with pytest.raises(ConfigurationError):
-        stv_rounds(p, None)
+    with pytest.raises(ConfigurationError, match="needs a tiebreak order"):
+        winner(RuleSpec(VotingRule.STV), p)
 
 
 # --- RuleSpec and dispatch ---------------------------------------------------
@@ -272,6 +274,8 @@ def test_winner_requires_tiebreak_where_needed():
     for rule in (VotingRule.PLURALITY, VotingRule.BORDA, VotingRule.COPELAND, VotingRule.STV):
         with pytest.raises(ConfigurationError):
             winner(RuleSpec(rule), rp)
+    with pytest.raises(ConfigurationError):
+        winner(RuleSpec(VotingRule.STV), ranking_profile(2, (0, 1)))
     # kemeny's tiebreak is optional
     winner(RuleSpec(VotingRule.KEMENY), rp)
 
@@ -283,7 +287,9 @@ def test_config_and_winner_share_one_compatibility_check():
         (RuleSpec(VotingRule.PLURALITY), rp),
         (RuleSpec(VotingRule.KEMENY, (0, 1, 2, 3)), rp),
         (RuleSpec(VotingRule.MAJORITY), ballot_profile(3, "110", k=2)),
+        (RuleSpec(VotingRule.MAJORITY), ballot_profile(4, "1100", "0110", k=2)),
         (RuleSpec(VotingRule.TOPK_MAJORITY, (0, 1, 2)), ballot_profile(3, "110")),
+        (RuleSpec(VotingRule.TOPK_MAJORITY), ballot_profile(3, "110", "011", k=2)),
     )
     for rule, profile in cases:
         with pytest.raises(ConfigurationError) as from_winner:

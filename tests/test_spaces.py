@@ -30,6 +30,7 @@ from delibsim import (
 from delibsim.spaces import dist_lp, total
 
 from helpers import (
+    REFUSED_POINT_LITERALS,
     bfs_swap_distance,
     binary,
     euclidean,
@@ -84,6 +85,9 @@ def test_committee_bounds():
         binary(Metric.HAMMING, 5, k=0)
     with pytest.raises(ConfigurationError):
         binary(Metric.HAMMING, 5, k=6)
+    binary(Metric.HAMMING, 3, k=3)
+    with pytest.raises(ConfigurationError):
+        binary(Metric.HAMMING, 3, k=4)
     with pytest.raises(ConfigurationError):
         ranking_space(Metric.SWAP, 5).__class__(
             Family.RANKING, Metric.SWAP, num_candidates=5, committee_size=2
@@ -299,6 +303,8 @@ def test_point_json_round_trip():
         (euclidean(Metric.L2, 2), Point.reals((1.5, -2.0)), [1.5, -2.0]),
         (binary(Metric.HAMMING, 4), Point.of_bits("0110"), "0110"),
         (ranking_space(Metric.SWAP, 3), Point.of_ranking((2, 0, 1)), [2, 0, 1]),
+        # an integral float reads as its integer
+        (ranking_space(Metric.SWAP, 3), Point.of_ranking((2, 0, 1)), [2.0, 0, 1]),
     ]
     for space, point, literal in cases:
         assert point_to_json(space, point) == literal
@@ -308,6 +314,7 @@ def test_point_json_round_trip():
 def test_point_from_json_accepts_bit_arrays():
     space = binary(Metric.HAMMING, 3)
     assert point_from_json(space, [1, 0, 1]) == Point.of_bits("101")
+    assert point_from_json(space, [1.0, 0, 1]) == Point.of_bits("101")
 
 
 def test_point_from_json_rejects_bad_literals():
@@ -323,3 +330,10 @@ def test_point_from_json_rejects_bad_literals():
         point_from_json(ranking_space(Metric.SWAP, 3), [0, 0, 1])
     with pytest.raises(InvalidPointError):
         point_from_json(ranking_space(Metric.SWAP, 3), "012")
+
+
+@pytest.mark.parametrize("space, literal, message", REFUSED_POINT_LITERALS)
+def test_point_from_json_refuses_bools_and_fractions(space, literal, message):
+    with pytest.raises(InvalidPointError) as raised:
+        point_from_json(space, literal)
+    assert str(raised.value) == message
