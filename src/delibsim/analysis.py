@@ -6,7 +6,8 @@ vectors and the lexicographic comparison that orders them.  It also
 predicts iteration counts per configuration (exact, capped, or no claim),
 checks winner stability over a trace, provides an independent exhaustive
 Kemeny oracle, and implements the smallest-enclosing-ball containment test
-that pins down where mean runs can converge.
+that pins down where mean runs can converge.  ``explain`` judges a run by
+the argument that covers its configuration, checked on the run's trace.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import CAP_MULTIPLIER
+from .engine import CAP_MULTIPLIER, EngineConfig, RunReport
 from .errors import ConfigurationError, UnsupportedSizeError
 from .rules import (
     SCORING_RULES,
@@ -322,3 +323,59 @@ def ball_containment(initial: Profile, final_point: Point) -> bool:
 def sum_distance_to_winner(profile: Profile, w: Point) -> float:
     """Total distance of all agents from a given point."""
     return total(dist(profile.spec, p, w) for p in profile.points)
+
+
+@dataclass(frozen=True)
+class Explanation:
+    """A run judged by the argument that covers it: ``iteration_bound``'s kind
+    and count, the observed moving iterations, and each invariant's verdict."""
+
+    kind: BoundKind
+    predicted: Optional[int]
+    observed: int
+    invariants: Mapping[str, bool]
+
+    @property
+    def holds(self) -> bool:
+        """Every invariant held, and the count equals an EXACT bound or is within a CAP."""
+        return all(self.invariants.values()) and (
+            self.kind is BoundKind.NONE
+            or self.observed == self.predicted
+            or (self.kind is BoundKind.CAP and self.observed < self.predicted)
+        )
+
+
+def explain(initial: Profile, config: EngineConfig, report: RunReport) -> Explanation:
+    """Judge ``report``, a run of ``config`` from ``initial``, on its trace.
+
+    The invariants are ``winner-stable`` under EXACT; ``distance-shrinking``
+    and ``ball-contained`` under CAP; and under swap distance, where scoring
+    rules and STV carry no bound, ``potential-greater`` or ``potential-less``:
+    the potential moves that way on every moving step.  The prediction uses
+    ``rules.winner`` whatever winner the run took, so a wrong winner shows.
+    """
+    space, rule = config.space, config.rule
+    bound = iteration_bound(space, rule, initial, config.epsilon)
+    trace = report.trace
+    # one pass at most: an array-path record builds its points on each read
+    states = (Profile.of_checked(space, r.points) for r in trace)
+    invariants = {}
+    if bound.kind is BoundKind.EXACT:
+        invariants["winner-stable"] = winner_stability(trace)
+    elif bound.kind is BoundKind.CAP:
+        sums = [sum_distance_to_winner(p, r.winner) for p, r in zip(states, trace)]
+        invariants["distance-shrinking"] = all(a > b for a, b in zip(sums, sums[1:]))
+        invariants["ball-contained"] = space.distance is Metric.L1 or (
+            report.point is not None and ball_containment(initial, report.point)
+        )
+    elif space.distance is Metric.SWAP:
+        order = rule.tiebreak_order
+        if rule.rule is VotingRule.STV:
+            expected, vectors = Comparison.LESS, [potential_stv(p, order) for p in states]
+        else:
+            expected = Comparison.GREATER
+            vectors = [potential_scoring(p, rule.rule, order) for p in states]
+        moves = zip(vectors, vectors[1:], trace)
+        steps = [lex_compare(b, a) for a, b, rec in moves if any(rec.moved)]
+        invariants[f"potential-{expected.value}"] = all(s is expected for s in steps)
+    return Explanation(bound.kind, bound.iterations, report.moving_iterations, invariants)

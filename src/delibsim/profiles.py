@@ -193,7 +193,8 @@ def profile_from_json(obj) -> Profile:
     raw = obj["points"]
     if not isinstance(raw, list) or not raw:
         raise ParseError("'points' must be a non-empty array")
-    return Profile(space, tuple(point_from_json(space, item) for item in raw))
+    # point_from_json validated each point
+    return Profile.of_checked(space, tuple(point_from_json(space, item) for item in raw))
 
 
 def load_json(path: str):

@@ -12,7 +12,8 @@ scores are broken toward the earlier candidate; ties when picking an
 elimination loser are broken against the later candidate.
 
 A rule is checked once, at the boundary: ``RuleSpec`` checks that its order
-is a permutation, and ``require_compatible``, which ``winner`` calls, that
+is a permutation of integers (refusing a bool or ``1.5`` rather than
+truncating it), and ``require_compatible``, which ``winner`` calls, that
 the rule fits the space and has an order naming every candidate where it
 needs one.  The rule functions take what passed and do not check it again.
 """
@@ -20,6 +21,7 @@ needs one.  The rule functions take what passed and do not check it again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -122,12 +124,16 @@ class RuleSpec:
 
     def __post_init__(self) -> None:
         if self.tiebreak_order is not None:
-            order = self.tiebreak_order
             try:
-                order = None if isinstance(order, str) else tuple(int(c) for c in order)
-            except (TypeError, ValueError):
-                order = None
-            if order is None or sorted(order) != list(range(len(order))):
+                order = tuple(self.tiebreak_order)
+            except TypeError:
+                raise ConfigurationError("tiebreak order must be a permutation of 0..m-1") from None
+            for i, c in enumerate(order):
+                # a bool is an Integral too, and int() would truncate 1.5 to 1
+                if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                    raise ConfigurationError(f"tiebreak entry {i} = {c!r} is not an integer")
+            order = tuple(int(c) for c in order)
+            if sorted(order) != list(range(len(order))):
                 raise ConfigurationError("tiebreak order must be a permutation of 0..m-1")
             object.__setattr__(self, "tiebreak_order", order)
 

@@ -5,32 +5,21 @@ observed quantity against its predicted value: exact iteration counts with
 a stable winner, capped mean convergence with shrinking total distance and
 final-point ball containment, potential monotonicity for the ordinal
 rules, full-length timing under the deepest-disagreement metric, and
-exhaustive-oracle agreement for the minimal-total-swap rule.  The
-``corrupt`` flag deliberately breaks one rule to prove the harness reports
-failures: every run and the oracle comparison then take a winner function
-that swaps the top two of each Kemeny ranking, while the predictions keep
-using the honest rule.
+exhaustive-oracle agreement for the minimal-total-swap rule.  The first
+four take their predictions (and three their invariants) from
+``analysis.explain``.  The ``corrupt`` flag deliberately breaks one rule to
+prove the harness reports failures: every run and the oracle comparison
+then take a winner function that swaps the top two of each Kemeny ranking,
+while the predictions keep using the honest rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import rules as rules_mod
-from .analysis import (
-    BoundKind,
-    Comparison,
-    ball_containment,
-    iteration_bound,
-    kemeny_bruteforce,
-    lex_compare,
-    potential_scoring,
-    potential_stv,
-    sum_distance_to_winner,
-    winner_stability,
-)
+from .analysis import BoundKind, explain, kemeny_bruteforce
 from .engine import EngineConfig, Outcome, WinnerFn, run
 from .errors import ConfigurationError
 from .policies import ConstraintMode, PolicySpec
@@ -106,14 +95,13 @@ def _check_exact_count(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     for name, build in _EXACT_CASES.items():
         space, rule, profile, epsilon = build(seed)
-        bound = iteration_bound(space, rule, profile, epsilon)
         config = EngineConfig(space, rule, epsilon=epsilon)
         report = run(profile, config, winner)
+        explanation = explain(profile, config, report)
         ok = (
             report.outcome is Outcome.CONVERGED
-            and winner_stability(report.trace)
-            and bound.kind is BoundKind.EXACT
-            and report.moving_iterations == bound.iterations
+            and explanation.kind is BoundKind.EXACT
+            and explanation.holds
         )
         rows.append(
             CheckRow(
@@ -122,7 +110,7 @@ def _check_exact_count(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
                 seed,
                 ok,
                 f"{report.outcome.value}/{report.moving_iterations}",
-                f"converged/{bound.iterations}",
+                f"converged/{explanation.predicted}",
             )
         )
     return rows
@@ -132,23 +120,12 @@ def _check_mean(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     rows = []
     for name, metric in (("mean-l1", Metric.L1), ("mean-l2", Metric.L2)):
         space, rule, profile, epsilon = _euclidean_case(seed, metric, VotingRule.MEAN)
-        bound = iteration_bound(space, rule, profile, epsilon)
         config = EngineConfig(space, rule, epsilon=epsilon)
         report = run(profile, config, winner)
-        sums = [
-            sum_distance_to_winner(Profile.of_checked(space, r.points), r.winner)
-            for r in report.trace
-        ]
-        shrinking = all(a > b for a, b in zip(sums, sums[1:]))
-        contained = metric is Metric.L1 or (
-            report.point is not None and ball_containment(profile, report.point)
-        )
-        ok = (
-            report.outcome is Outcome.CONVERGED
-            and report.moving_iterations <= (bound.iterations or 0)
-            and shrinking
-            and contained
-        )
+        explanation = explain(profile, config, report)
+        shrinking = explanation.invariants["distance-shrinking"]
+        contained = explanation.invariants["ball-contained"]
+        ok = report.outcome is Outcome.CONVERGED and explanation.holds
         rows.append(
             CheckRow(
                 "mean-convergence",
@@ -157,18 +134,10 @@ def _check_mean(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
                 ok,
                 f"{report.outcome.value}/{report.moving_iterations}"
                 f"/shrinking={shrinking}/contained={contained}",
-                f"converged/<={bound.iterations}/shrinking=True/contained=True",
+                f"converged/<={explanation.predicted}/shrinking=True/contained=True",
             )
         )
     return rows
-
-
-_POTENTIAL_RULES = (
-    VotingRule.PLURALITY,
-    VotingRule.BORDA,
-    VotingRule.COPELAND,
-    VotingRule.STV,
-)
 
 
 def _check_potential(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
@@ -178,28 +147,11 @@ def _check_potential(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
     space = SpaceSpec(Family.RANKING, Metric.SWAP, num_candidates=m)
     profile = generate(GeneratorSpec(space, n=n, seed=seed * 31 + 5))
     rows = []
-    for kind in _POTENTIAL_RULES:
-        config = EngineConfig(
-            space, RuleSpec(kind, order), PolicySpec(), epsilon=1.0, max_iters=2000
-        )
+    for kind in (VotingRule.PLURALITY, VotingRule.BORDA, VotingRule.COPELAND, VotingRule.STV):
+        config = EngineConfig(space, RuleSpec(kind, order), epsilon=1.0, max_iters=2000)
         report = run(profile, config, winner)
-        if kind is VotingRule.STV:
-            vectors = [
-                potential_stv(Profile.of_checked(space, r.points), order) for r in report.trace
-            ]
-            expected = Comparison.LESS
-        else:
-            vectors = [
-                potential_scoring(Profile.of_checked(space, r.points), kind, order)
-                for r in report.trace
-            ]
-            expected = Comparison.GREATER
-        steps = [
-            lex_compare(b, a)
-            for a, b, rec in zip(vectors, vectors[1:], report.trace)
-            if any(rec.moved)
-        ]
-        monotone = all(s is expected for s in steps)
+        ((invariant, monotone),) = explain(profile, config, report).invariants.items()
+        direction = invariant.removeprefix("potential-")
         ok = report.outcome is Outcome.CONVERGED and monotone
         rows.append(
             CheckRow(
@@ -208,7 +160,7 @@ def _check_potential(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow]:
                 seed,
                 ok,
                 f"{report.outcome.value}/monotone={monotone}",
-                f"converged/monotone=True ({expected.value} each moving step)",
+                f"converged/monotone=True ({direction} each moving step)",
             )
         )
     return rows
@@ -253,7 +205,7 @@ def _check_first_changed(seed: int, winner: Optional[WinnerFn]) -> list[CheckRow
     for name, profile, rule, epsilon in cases:
         config = EngineConfig(profile.spec, rule, relaxed, epsilon=float(epsilon))
         report = run(profile, config, winner)
-        predicted = math.ceil(profile.spec.num_candidates / epsilon)
+        predicted = explain(profile, config, report).predicted
         ok = report.outcome is Outcome.CONVERGED and report.moving_iterations == predicted
         rows.append(
             CheckRow(

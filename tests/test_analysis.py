@@ -1,4 +1,4 @@
-"""Analysis: potentials, bound predictions, the Kemeny oracle, and balls."""
+"""Analysis: potentials, bound predictions, the Kemeny oracle, balls, and explain."""
 
 import math
 
@@ -11,6 +11,8 @@ from delibsim import (
     Comparison,
     ConfigurationError,
     EngineConfig,
+    Explanation,
+    GeneratorSpec,
     Metric,
     Outcome,
     Point,
@@ -21,6 +23,8 @@ from delibsim import (
     VotingRule,
     ball_containment,
     enclosing_ball_l2,
+    explain,
+    generate,
     iteration_bound,
     kemeny_bruteforce,
     lex_compare,
@@ -32,6 +36,7 @@ from delibsim import (
 )
 from delibsim.engine import IterationRecord
 from delibsim.rules import kemeny_ranking
+from delibsim.verification import _corrupted_winner, _kemeny_case
 
 from helpers import binary, brute_min_ball_2d, euclidean, ranking_space
 
@@ -100,8 +105,9 @@ def test_potential_stv_golden_vector():
 
 def test_potentials_reject_an_order_that_is_not_a_permutation():
     p = ranking_profile(3, *ORDINAL)
-    # a repeat, a missing candidate, an extra one, and an index out of range
-    for order in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3)):
+    # a repeat, a missing candidate, an extra one, an index out of range, and
+    # entries that would truncate to a permutation
+    for order in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0, 1.5, 2), (True, 0, 2)):
         with pytest.raises(ConfigurationError):
             potential_scoring(p, VotingRule.PLURALITY, order)
         with pytest.raises(ConfigurationError):
@@ -374,3 +380,55 @@ def test_sum_distance_to_winner():
     p = line_profile(0, 4, 9)
     assert sum_distance_to_winner(p, Point.reals((4.0,))) == pytest.approx(9.0)
     assert sum_distance_to_winner(p, Point.reals((0.0,))) == pytest.approx(13.0)
+
+
+# --- explain -----------------------------------------------------------------
+
+
+def test_explain_flags_a_run_given_a_corrupted_winner():
+    # verify --corrupt fails this seed's Kemeny exact-count row
+    space, rule, profile, epsilon = _kemeny_case(0)
+    config = EngineConfig(space, rule, epsilon=epsilon)
+    honest = explain(profile, config, run(profile, config))
+    assert honest == Explanation(BoundKind.EXACT, 0, 0, {"winner-stable": True})
+    assert honest.holds
+    corrupted = explain(profile, config, run(profile, config, _corrupted_winner))
+    assert corrupted.predicted == honest.predicted
+    assert not corrupted.holds
+
+
+@pytest.mark.parametrize(
+    "space, rule, kind, invariants",
+    [
+        (euclidean(Metric.L2, 2), RuleSpec(VotingRule.MEAN), BoundKind.CAP,
+         {"distance-shrinking": True, "ball-contained": True}),
+        (euclidean(Metric.L1, 2), RuleSpec(VotingRule.MEAN), BoundKind.CAP,
+         {"distance-shrinking": True, "ball-contained": True}),
+        (euclidean(Metric.LINF, 2), RuleSpec(VotingRule.MEDIAN), BoundKind.NONE, {}),
+        (ranking_space(Metric.SWAP, 4), RuleSpec(VotingRule.BORDA, (0, 1, 2, 3)),
+         BoundKind.NONE, {"potential-greater": True}),
+        (ranking_space(Metric.SWAP, 4), RuleSpec(VotingRule.STV, (0, 1, 2, 3)),
+         BoundKind.NONE, {"potential-less": True}),
+    ],
+    ids=["mean-l2", "mean-l1", "median-linf", "borda-swap", "stv-swap"],
+)
+def test_explain_names_the_invariants_of_each_argument(space, rule, kind, invariants):
+    profile = generate(GeneratorSpec(space, n=5, seed=1))
+    config = EngineConfig(space, rule, max_iters=200)
+    report = run(profile, config)
+    explanation = explain(profile, config, report)
+    assert explanation.kind is kind
+    assert explanation.invariants == invariants
+    assert explanation.observed == report.moving_iterations
+    assert (explanation.predicted is None) == (kind is BoundKind.NONE)
+    assert explanation.holds
+
+
+def test_explain_holds_only_when_the_count_matches():
+    exact = Explanation(BoundKind.EXACT, 3, 3, {"winner-stable": True})
+    cap = Explanation(BoundKind.CAP, 30, 3, {"distance-shrinking": True})
+    assert exact.holds and cap.holds
+    assert not Explanation(BoundKind.EXACT, 3, 2, {"winner-stable": True}).holds
+    assert not Explanation(BoundKind.CAP, 30, 31, {"distance-shrinking": True}).holds
+    assert not Explanation(BoundKind.CAP, 30, 3, {"distance-shrinking": False}).holds
+    assert Explanation(BoundKind.NONE, None, 7, {}).holds

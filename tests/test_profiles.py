@@ -36,6 +36,8 @@ from delibsim import (
     write_summary_csv,
     write_trace_jsonl,
 )
+from delibsim import rules as rules_mod
+from delibsim import spaces as spaces_mod
 from delibsim.engine import _ArrayRecord
 from delibsim.profiles import (
     final_winner,
@@ -165,6 +167,24 @@ def test_profile_file_round_trip(tmp_path):
     assert load_profile(str(path)) == profile
     raw = json.loads(path.read_text())
     assert raw["points"] == [[3.0], [5.0], [8.0]]
+
+
+def test_load_profile_validates_each_point_once(tmp_path, monkeypatch):
+    profile = generate(GeneratorSpec(euclidean(Metric.L2, 2), n=100, seed=0))
+    path = tmp_path / "profile.json"
+    save_profile(profile, str(path))
+    calls = []
+    original = spaces_mod.validate_point
+
+    def counted(space, point):
+        calls.append(point)
+        return original(space, point)
+
+    # the parser checks in spaces, a checked Profile in rules
+    for module in (spaces_mod, rules_mod):
+        monkeypatch.setattr(module, "validate_point", counted)
+    assert load_profile(str(path)) == profile
+    assert len(calls) == 100
 
 
 @pytest.mark.parametrize("space, literal, message", REFUSED_POINT_LITERALS)

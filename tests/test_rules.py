@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +246,27 @@ def test_rulespec_tiebreak_must_be_permutation():
     RuleSpec(VotingRule.PLURALITY, (2, 0, 1))
     with pytest.raises(ConfigurationError):
         RuleSpec(VotingRule.PLURALITY, (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ((0, 1.5, 2), "tiebreak entry 1 = 1.5 is not an integer"),
+        ((True, 0, 2), "tiebreak entry 0 = True is not an integer"),
+        ((0, 1.0, 2), "tiebreak entry 1 = 1.0 is not an integer"),
+        ("012", "tiebreak entry 0 = '0' is not an integer"),
+    ],
+)
+def test_rulespec_refuses_a_tiebreak_entry_that_is_no_integer(order, message):
+    with pytest.raises(ConfigurationError) as raised:
+        RuleSpec(VotingRule.BORDA, order)
+    assert str(raised.value) == message
+
+
+def test_rulespec_accepts_numpy_integer_tiebreak_entries():
+    order = RuleSpec(VotingRule.BORDA, np.array([2, 0, 1], dtype=np.int64)).tiebreak_order
+    assert order == (2, 0, 1)
+    assert all(type(c) is int for c in order)
 
 
 def test_winner_dispatch_matches_direct_calls():
