@@ -357,18 +357,18 @@ def explain(initial: Profile, config: EngineConfig, report: RunReport) -> Explan
     space, rule = config.space, config.rule
     bound = iteration_bound(space, rule, initial, config.epsilon)
     trace = report.trace
-    # one pass at most: an array-path record builds its points on each read
-    states = (Profile.of_checked(space, r.points) for r in trace)
     invariants = {}
     if bound.kind is BoundKind.EXACT:
         invariants["winner-stable"] = winner_stability(trace)
     elif bound.kind is BoundKind.CAP:
-        sums = [sum_distance_to_winner(p, r.winner) for p, r in zip(states, trace)]
+        sums = [total(r.distances) for r in trace]
         invariants["distance-shrinking"] = all(a > b for a, b in zip(sums, sums[1:]))
         invariants["ball-contained"] = space.distance is Metric.L1 or (
             report.point is not None and ball_containment(initial, report.point)
         )
     elif space.distance is Metric.SWAP:
+        # one pass at most: an array-path record builds its points on each read
+        states = (Profile.of_checked(space, r.points) for r in trace)
         order = rule.tiebreak_order
         if rule.rule is VotingRule.STV:
             expected, vectors = Comparison.LESS, [potential_stv(p, order) for p in states]

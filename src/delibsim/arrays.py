@@ -396,8 +396,8 @@ def move(
     d: np.ndarray,
     epsilon: float,
 ) -> np.ndarray:
-    """Every agent's default move toward ``w``; ``d`` holds the distances to
-    it, which are the moves' lengths, as in ``policies.move_real``.
+    """Every agent's default move toward ``w``; ``d`` holds the recorded
+    distances to it, which are the moves' lengths, as in ``MovePolicy.move``.
 
     A scaled move toward a winner at an infinite distance raises
     ``InfeasibleStepError``, as ``MovePolicy.move`` does.

@@ -39,9 +39,9 @@ must pass ``check_constraints``; a move that fails raises.
   deepest-disagreement metric, and any run given a winner function.
   ``step`` is also the reference the array path is tested against.
 
-Each state's winner and distances are computed once: the referee judges
-each move against the recorded distance, and the default budget is sized
-from the first state's.
+Each state's winner and distances are computed once: the mover takes the
+recorded distance as the move's length, the referee judges the move against
+it, and the default budget is sized from the first state's.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def step(
     next_points = []
     moved = []
     for i, p in enumerate(profile.points):
-        p_next = mover.move(p, w, config.epsilon, iteration, i)
+        p_next = mover.move(p, w, distances[i], config.epsilon, iteration, i)
         _referee(config, i, iteration, p, p_next, w, distances[i], validated=scripted)
         next_points.append(p_next)
         moved.append(not points_equal(space, p, p_next))

@@ -6,8 +6,8 @@ A move from v toward the winner w with step size epsilon must
 * displace the agent by exactly epsilon (any smaller displacement is fine
   once the agent reaches w).
 
-A real-vector move's length is the distance the laws are stated in, the
-one ``spaces.dist_lp`` gives (``move_real``).  ``check_constraints``
+A mover takes w, the distance d(v, w) the step recorded, and the step size
+``EngineConfig`` checked; it measures nothing again.  ``check_constraints``
 verifies both laws for a proposed move.  Under the deepest-disagreement
 metric only a relaxed first law is checkable: suffix copying can overshoot
 the target distance (rankings have no point at distance 1 from w, for
@@ -44,10 +44,6 @@ from .spaces import (
     SpaceSpec,
     differs,
     dist,
-    dist_first_changed,
-    dist_hamming,
-    dist_lp,
-    dist_swap,
     exceeds,
 )
 
@@ -144,13 +140,6 @@ def require_next_entry(script: Script, iteration: int) -> None:
         )
 
 
-def _as_step_count(epsilon: float) -> int:
-    step = int(epsilon)
-    if step != epsilon or step <= 0:
-        raise ConfigurationError(f"discrete moves need a positive integer step, got {epsilon}")
-    return step
-
-
 def too_far_message(length: float, epsilon: float) -> str:
     """Why no step can be scaled toward a winner whose distance overflows to
     ``length``: the factor ``epsilon / length`` is 0, and an infinite gap
@@ -160,17 +149,17 @@ def too_far_message(length: float, epsilon: float) -> str:
 
 
 def move_real(
-    space: SpaceSpec, v: Point, w: Point, epsilon: float, mode: L1Mode = L1Mode.COORD_ORDER
+    space: SpaceSpec, v: Point, w: Point, d: float, epsilon: float,
+    mode: L1Mode = L1Mode.COORD_ORDER,
 ) -> Point:
     """Move ``epsilon`` toward ``w``, or onto it when within reach.
 
-    The move's length is ``d = dist_lp(v, w)``.  A scaled move goes
-    ``epsilon / d`` of each gap, along the straight line to ``w``: under l2
-    that is the only point both laws allow, under l-inf and proportional l1
-    one of them.  Coordinate-order l1 spends the step budget on the gaps in
-    coordinate order instead.
+    The move's length is ``d``, the recorded distance from ``v`` to ``w``.
+    A scaled move goes ``epsilon / d`` of each gap, along the straight line
+    to ``w``: under l2 that is the only point both laws allow, under l-inf
+    and proportional l1 one of them.  Coordinate-order l1 spends the step
+    budget on the gaps in coordinate order instead.
     """
-    d = dist_lp(space, v, w)
     if d <= epsilon:
         return w
     gaps = [b - a for a, b in zip(v.real_vector, w.real_vector)]
@@ -194,27 +183,22 @@ def move_hamming(
     space: SpaceSpec,
     v: Point,
     w: Point,
+    d: int,
     epsilon: float,
     rng: Optional[random.Random] = None,
 ) -> Point:
-    """Flip epsilon disagreeing entries toward w.
+    """Flip epsilon of the ``d`` disagreeing entries toward w.
 
     Committee ballots must keep their size, so they move by paired
-    exchanges (one approval dropped, one gained); an odd step size is
-    infeasible there.  The default picks the lowest-index candidates; a
-    seeded rng picks uniformly instead.
+    exchanges (one approval dropped, one gained), half the step each way.
+    The default picks the lowest-index candidates; a seeded rng picks
+    uniformly instead.
     """
-    step = _as_step_count(epsilon)
-    committee = space.committee_size is not None
-    if committee and step % 2 != 0:
-        raise InfeasibleStepError(
-            f"committee ballots change an even number of entries per move; step {step} is odd"
-        )
-    d = dist_hamming(space, v, w)
+    step = int(epsilon)
     if d <= step:
         return w
     bits = list(v.bits)
-    if not committee:
+    if space.committee_size is None:
         disagree = [i for i, (a, b) in enumerate(zip(v.bits, w.bits)) if a != b]
         chosen = sorted(rng.sample(disagree, step)) if rng else disagree[:step]
         for i in chosen:
@@ -236,17 +220,17 @@ def move_swap(
     space: SpaceSpec,
     v: Point,
     w: Point,
+    d: int,
     epsilon: float,
     rng: Optional[random.Random] = None,
 ) -> Point:
-    """Perform epsilon adjacent transpositions toward w.
+    """Perform epsilon adjacent transpositions toward w, ``d`` swaps away.
 
     Each transposition swaps an adjacent pair the agent orders oppositely
     to w, so each reduces the swap distance by exactly one.  The default
     always takes the leftmost eligible pair; a seeded rng picks uniformly.
     """
-    step = _as_step_count(epsilon)
-    d = dist_swap(space, v, w)
+    step = int(epsilon)
     if d <= step:
         return w
     wpos = {c: i for i, c in enumerate(w.ranking)}
@@ -258,7 +242,7 @@ def move_swap(
     return Point.of_ranking(seq)
 
 
-def move_first_changed(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> Point:
+def move_first_changed(space: SpaceSpec, v: Point, w: Point, d: int, epsilon: float) -> Point:
     """Adopt w's entries on the window just below the current agreement suffix.
 
     Under the deepest-disagreement metric the only way to approach w is to
@@ -267,8 +251,7 @@ def move_first_changed(space: SpaceSpec, v: Point, w: Point, epsilon: float) -> 
     own relative order in the prefix; committee ballots repair their size by
     flipping the lowest-index prefix entries that help.
     """
-    step = _as_step_count(epsilon)
-    d = dist_first_changed(space, v, w)
+    step = int(epsilon)
     if d <= step:
         return w
     start = d - step
@@ -359,25 +342,29 @@ class MovePolicy:
         mix = (self.spec.seed * 1_000_003 + iteration) * 1_000_003 + agent
         return random.Random(mix)
 
-    def move(self, v: Point, w: Point, epsilon: float, iteration: int, agent: int) -> Point:
+    def move(
+        self, v: Point, w: Point, d: float, epsilon: float, iteration: int, agent: int
+    ) -> Point:
         """``agent``'s next point; an infeasible step raises with the agent and iteration named."""
         if self.spec.kind is PolicyKind.SCRIPTED:
             return self._scripted(iteration, agent)
         try:
-            return self._default(v, w, epsilon, iteration, agent)
+            return self._default(v, w, d, epsilon, iteration, agent)
         except InfeasibleStepError as exc:
             raise InfeasibleStepError(f"agent {agent} at iteration {iteration}: {exc}") from None
 
-    def _default(self, v: Point, w: Point, epsilon: float, iteration: int, agent: int) -> Point:
+    def _default(
+        self, v: Point, w: Point, d: float, epsilon: float, iteration: int, agent: int
+    ) -> Point:
         space = self.space
         rng = self._rng(iteration, agent)
         if space.distance is Metric.FIRST_CHANGED:
-            return move_first_changed(space, v, w, epsilon)
+            return move_first_changed(space, v, w, d, epsilon)
         if space.family is Family.EUCLIDEAN:
-            return move_real(space, v, w, epsilon, self.spec.l1_mode)
+            return move_real(space, v, w, d, epsilon, self.spec.l1_mode)
         if space.family is Family.BINARY:
-            return move_hamming(space, v, w, epsilon, rng)
-        return move_swap(space, v, w, epsilon, rng)
+            return move_hamming(space, v, w, d, epsilon, rng)
+        return move_swap(space, v, w, d, epsilon, rng)
 
     def _scripted(self, iteration: int, agent: int) -> Point:
         """The script's next point for ``agent``; the engine's referee judges the move."""

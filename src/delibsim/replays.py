@@ -18,10 +18,8 @@ from .analysis import potential_scoring, potential_stv
 from .engine import DEFAULT_GROWTH_WINDOW, EngineConfig, Outcome, RunReport, run
 from .errors import ConfigurationError, UnsupportedSizeError
 from .policies import ConstraintMode, PolicyKind, PolicySpec
-from .rules import Profile, RuleSpec, VotingRule
+from .rules import Profile, RuleSpec, VotingRule, scoring_ranking, stv_rounds
 from .spaces import Family, Metric, Point, SpaceSpec
-
-REPLAY_NAMES = ("example1", "example3", "example4", "scoring-vector", "stv-vector")
 
 #: three agents on a line, floored mean, step 1: consensus at 5 in 3 moves
 EXAMPLE1_START = (3.0, 5.0, 8.0)
@@ -146,7 +144,7 @@ def _fmt_vector(flat: tuple) -> str:
     return "(" + ", ".join(str(int(x)) for x in flat) + ")"
 
 
-def _replay_example1() -> ReplayResult:
+def _replay_example1() -> tuple[list[str], list[str]]:
     report, _ = run_example1()
     lines = []
     failures = []
@@ -167,11 +165,10 @@ def _replay_example1() -> ReplayResult:
     if report.outcome is not Outcome.CONVERGED:
         failures.append(f"expected convergence, got {report.outcome.value}")
     lines.append(f"outcome: {report.outcome.value} after {report.moving_iterations} moves")
-    return ReplayResult("example1", not failures, tuple(lines), tuple(failures))
+    return lines, failures
 
 
-def _replay_escape(name: str, rule: VotingRule, iterations: int) -> ReplayResult:
-    runner = run_example3 if rule is VotingRule.MEAN else run_example4
+def _replay_escape(runner, iterations: int) -> tuple[list[str], list[str]]:
     report, _ = runner(iterations)
     failures = []
     # a scripted array run: its winner rows, compared at once with (j, j, j)
@@ -191,51 +188,51 @@ def _replay_escape(name: str, rule: VotingRule, iterations: int) -> ReplayResult
         f"outcome: {report.outcome.value} after {iterations} iterations, "
         f"growth_detected={report.growth_detected}"
     )
-    return ReplayResult(name, not failures, tuple(lines), tuple(failures))
+    return lines, failures
 
 
-def _replay_vector(name: str) -> ReplayResult:
+def _replay_vector(
+    label: str, expected: tuple, potential, candidates
+) -> tuple[list[str], list[str]]:
+    """The ordinal profile's ``potential`` against ``expected``, its triplets
+    labelled by the profile's ``candidates``."""
     profile = ordinal_profile()
-    if name == "scoring-vector":
-        vector = potential_scoring(profile, VotingRule.PLURALITY, ORDINAL_ORDER)
-        expected = SCORING_VECTOR
-        label = "plurality potential"
-    else:
-        vector = potential_stv(profile, ORDINAL_ORDER)
-        expected = STV_VECTOR
-        label = "elimination potential"
+    vector = potential(profile)
     lines = [
         "ballots: " + ", ".join(
             "(" + ",".join(_candidate(c) for c in b) + ")" for b in ORDINAL_BALLOTS
         )
     ]
-    for (score, priority, borda), c in zip(vector.triplets, _vector_candidates(name, profile)):
+    for (score, priority, borda), c in zip(vector.triplets, candidates(profile)):
         lines.append(f"candidate {_candidate(c)}: ({score}, {priority}, {borda})")
     lines.append(f"{label}: {_fmt_vector(vector.flat)}")
     failures = []
     if vector.flat != expected:
         failures.append(f"expected {_fmt_vector(expected)}, got {_fmt_vector(vector.flat)}")
-    return ReplayResult(name, not failures, tuple(lines), tuple(failures))
+    return lines, failures
 
 
-def _vector_candidates(name: str, profile: Profile) -> tuple[int, ...]:
-    from .rules import scoring_ranking, stv_rounds
-
-    if name == "scoring-vector":
-        return scoring_ranking(profile, VotingRule.PLURALITY, ORDINAL_ORDER).ranking
-    return tuple(c for c, _ in stv_rounds(profile, ORDINAL_ORDER))
+#: each scenario's lines and failures, given the iteration count that only the escapes use
+_REPLAYS = {
+    "example1": lambda iterations: _replay_example1(),
+    "example3": lambda iterations: _replay_escape(run_example3, iterations),
+    "example4": lambda iterations: _replay_escape(run_example4, iterations),
+    "scoring-vector": lambda iterations: _replay_vector(
+        "plurality potential", SCORING_VECTOR,
+        lambda p: potential_scoring(p, VotingRule.PLURALITY, ORDINAL_ORDER),
+        lambda p: scoring_ranking(p, VotingRule.PLURALITY, ORDINAL_ORDER).ranking),
+    "stv-vector": lambda iterations: _replay_vector(
+        "elimination potential", STV_VECTOR, lambda p: potential_stv(p, ORDINAL_ORDER),
+        lambda p: tuple(c for c, _ in stv_rounds(p, ORDINAL_ORDER))),
+}
+REPLAY_NAMES = tuple(_REPLAYS)
 
 
 def replay(name: str, iterations: int = DEFAULT_ESCAPE_ITERATIONS) -> ReplayResult:
     """Rerun a named scenario and diff it against its expected outputs."""
-    if name == "example1":
-        return _replay_example1()
-    if name == "example3":
-        return _replay_escape(name, VotingRule.MEAN, iterations)
-    if name == "example4":
-        return _replay_escape(name, VotingRule.MEDIAN, iterations)
-    if name in ("scoring-vector", "stv-vector"):
-        return _replay_vector(name)
-    raise ConfigurationError(
-        f"unknown scenario {name!r}; choose one of {', '.join(REPLAY_NAMES)}"
-    )
+    if name not in _REPLAYS:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; choose one of {', '.join(REPLAY_NAMES)}"
+        )
+    lines, failures = _REPLAYS[name](iterations)
+    return ReplayResult(name, not failures, tuple(lines), tuple(failures))

@@ -336,7 +336,7 @@ def test_c9b_default_moves_always_satisfy_the_laws():
         for trial in range(1000):
             v, w = _random_point(rng, space), _random_point(rng, space)
             eps = epsilons[trial % len(epsilons)]
-            out = policy.move(v, w, eps, iteration=0, agent=0)
+            out = policy.move(v, w, dist(space, v, w), eps, iteration=0, agent=0)
             msg = check_constraints(space, v, out, w, eps, mode)
             assert msg is None, (space.distance, trial, msg)
     _report(9, "8000 fuzzed default moves all satisfy the movement laws")
@@ -354,7 +354,7 @@ def test_c9c_straight_line_move_is_the_unique_legal_step():
         if dist(space, v, w) <= eps:
             continue
         policy = MovePolicy(space, PolicySpec())
-        out = policy.move(v, w, eps, 0, 0)
+        out = policy.move(v, w, dist(space, v, w), eps, 0, 0)
         direction = [rng.gauss(0, 1) for _ in range(3)]
         norm = math.sqrt(sum(d * d for d in direction))
         # Both laws degrade quadratically along the tangent plane, so a

@@ -34,8 +34,10 @@ from delibsim import (
     sum_distance_to_winner,
     winner_stability,
 )
-from delibsim.engine import IterationRecord
+from delibsim import rules
+from delibsim.engine import IterationRecord, _ArrayRecord
 from delibsim.rules import kemeny_ranking
+from delibsim.spaces import total
 from delibsim.verification import _corrupted_winner, _kemeny_case
 
 from helpers import binary, brute_min_ball_2d, euclidean, ranking_space
@@ -422,6 +424,35 @@ def test_explain_names_the_invariants_of_each_argument(space, rule, kind, invari
     assert explanation.observed == report.moving_iterations
     assert (explanation.predicted is None) == (kind is BoundKind.NONE)
     assert explanation.holds
+
+
+@pytest.mark.parametrize("metric", [Metric.L1, Metric.L2])
+@pytest.mark.parametrize("winner", [None, rules.winner], ids=["arrays", "step"])
+def test_explain_sums_the_recorded_distances(metric, winner):
+    space = euclidean(metric, 2)
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN), max_iters=200)
+    for seed in range(50):
+        profile = generate(GeneratorSpec(space, n=5, seed=seed))
+        report = run(profile, config, winner=winner)
+        sums = [sum_distance_to_winner(Profile.of_checked(space, r.points), r.winner)
+                for r in report.trace]
+        assert [total(r.distances) for r in report.trace] == sums
+        shrinking = all(a > b for a, b in zip(sums, sums[1:]))
+        assert explain(profile, config, report).invariants["distance-shrinking"] == shrinking
+
+
+def test_explain_of_an_array_run_reads_no_record_points(monkeypatch):
+    space = euclidean(Metric.L2, 2)
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN), max_iters=200)
+    profile = generate(GeneratorSpec(space, n=5, seed=1))
+    report = run(profile, config)
+    assert isinstance(report.trace[0], _ArrayRecord)
+
+    def unread(record):
+        raise AssertionError("explain read a record's points")
+
+    monkeypatch.setattr(_ArrayRecord, "points", property(unread))
+    assert explain(profile, config, report).invariants["distance-shrinking"]
 
 
 def test_explain_holds_only_when_the_count_matches():

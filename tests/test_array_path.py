@@ -252,7 +252,7 @@ class _Proposed(MovePolicy):
         super().__init__(space, PolicySpec())
         self.targets = targets
 
-    def move(self, v, w, epsilon, iteration, agent):
+    def move(self, v, w, d, epsilon, iteration, agent):
         return self.targets[agent]
 
 

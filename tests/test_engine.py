@@ -1,6 +1,7 @@
 """Engine: configuration guards, stepping, termination, and run reports."""
 
 import math
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from delibsim import (
     ConstraintMode,
     ConstraintViolationError,
     EngineConfig,
+    GeneratorSpec,
     L1Mode,
     Metric,
     Outcome,
@@ -19,11 +21,12 @@ from delibsim import (
     RuleSpec,
     VotingRule,
     dist,
+    generate,
     is_consensus,
     run,
     step,
 )
-from delibsim import engine, rules
+from delibsim import engine, rules, spaces
 
 from helpers import binary, euclidean, ranking_space
 
@@ -384,3 +387,55 @@ def test_moving_iterations_counts_any_agent_motion():
     # agent at 9 needs ceil(9/2) = 5 iterations
     assert report.moving_iterations == 5
     assert report.states == 6
+
+
+# --- one distance measurement per pair ---------------------------------------
+
+
+def _count_distances(monkeypatch) -> list:
+    """Count every distance evaluation: each ``dist_*`` helper is wrapped in
+    every delibsim module that binds it, so ``dist`` and direct callers alike
+    are seen once per evaluation.  The returned list grows by one per call."""
+    calls = []
+    for name in ("dist_lp", "dist_hamming", "dist_swap", "dist_first_changed"):
+        original = getattr(spaces, name)
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("delibsim") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "space, rule, epsilon, policy, winner",
+    [
+        (ranking_space(Metric.SWAP, 5), RuleSpec(VotingRule.KEMENY), 1.0, PolicySpec(), None),
+        (ranking_space(Metric.SWAP, 5), RuleSpec(VotingRule.PLURALITY, (0, 1, 2, 3, 4)), 1.0,
+         PolicySpec(), None),
+        (binary(Metric.HAMMING, 8, k=3), RuleSpec(VotingRule.TOPK_MAJORITY, tuple(range(8))), 2.0,
+         PolicySpec(), None),
+        (ranking_space(Metric.FIRST_CHANGED, 5), RuleSpec(VotingRule.KEMENY), 1.0, APPROACH,
+         None),
+        (euclidean(Metric.L2, 2), RuleSpec(VotingRule.MEAN), 1.0, PolicySpec(), rules.winner),
+    ],
+    ids=["kemeny-swap", "plurality-swap", "topk-hamming", "kemeny-first-changed", "mean-l2"],
+)
+def test_each_distance_is_measured_once_per_pair(
+    monkeypatch, space, rule, epsilon, policy, winner
+):
+    # per agent-iteration: the recorded d(v, w), the referee's d(v', w) and,
+    # under the strict laws, its d(v, v'); the mover reuses the first
+    profile = generate(GeneratorSpec(space, n=9, seed=4))
+    config = EngineConfig(space, rule, policy, epsilon=epsilon, max_iters=40)
+    calls = _count_distances(monkeypatch)
+    report = run(profile, config, winner=winner)
+    agent_iters = sum(len(r.moved) for r in report.trace if r.moved is not None)
+    assert report.moving_iterations >= 2
+    per_pair = 2 if policy.constraint_mode is ConstraintMode.APPROACH_ONLY else 3
+    terminal = profile.n if report.trace[-1].moved is None else 0
+    growth = config.growth_window + 1 if report.outcome is Outcome.CAP_REACHED else 0
+    assert len(calls) <= per_pair * agent_iters + terminal + growth

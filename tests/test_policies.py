@@ -9,7 +9,6 @@ from delibsim import (
     ConstraintMode,
     ConstraintViolationError,
     EngineConfig,
-    InfeasibleStepError,
     L1Mode,
     Metric,
     MovePolicy,
@@ -39,7 +38,7 @@ from helpers import binary, euclidean, ranking_space
 def test_move_l2_straight_line():
     space = euclidean(Metric.L2, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 4.0))
-    out = move_real(space, v, w, 1.0)
+    out = move_real(space, v, w, dist(space, v, w), 1.0)
     assert out.real_vector == pytest.approx((0.6, 0.8))
     assert dist(space, out, w) == pytest.approx(4.0)
 
@@ -47,34 +46,34 @@ def test_move_l2_straight_line():
 def test_move_l2_snaps_within_reach():
     space = euclidean(Metric.L2, 2)
     v, w = Point.reals((0.3, 0.4)), Point.reals((0.0, 0.0))
-    assert move_real(space, v, w, 0.5) is w
-    assert move_real(space, v, w, 2.0) is w
+    assert move_real(space, v, w, dist(space, v, w), 0.5) is w
+    assert move_real(space, v, w, dist(space, v, w), 2.0) is w
 
 
 def test_move_l1_coordinate_order_spends_left_to_right():
     space = euclidean(Metric.L1, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 1.0))
-    assert move_real(space, v, w, 2.0).real_vector == (2.0, 0.0)
-    assert move_real(space, v, w, 3.5).real_vector == (3.0, 0.5)
+    assert move_real(space, v, w, dist(space, v, w), 2.0).real_vector == (2.0, 0.0)
+    assert move_real(space, v, w, dist(space, v, w), 3.5).real_vector == (3.0, 0.5)
 
 
 def test_move_l1_proportional_splits_by_gap():
     space = euclidean(Metric.L1, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 1.0))
-    out = move_real(space, v, w, 2.0, L1Mode.PROPORTIONAL)
+    out = move_real(space, v, w, dist(space, v, w), 2.0, L1Mode.PROPORTIONAL)
     assert out.real_vector == pytest.approx((1.5, 0.5))
 
 
 def test_move_l1_handles_negative_gaps():
     space = euclidean(Metric.L1, 2)
     v, w = Point.reals((5.0, 0.0)), Point.reals((2.0, 0.0))
-    assert move_real(space, v, w, 1.0).real_vector == (4.0, 0.0)
+    assert move_real(space, v, w, dist(space, v, w), 1.0).real_vector == (4.0, 0.0)
 
 
 def test_move_linf_scales_all_coordinates():
     space = euclidean(Metric.LINF, 2)
     v, w = Point.reals((0.0, 0.0)), Point.reals((4.0, 1.0))
-    out = move_real(space, v, w, 1.0)
+    out = move_real(space, v, w, dist(space, v, w), 1.0)
     assert out.real_vector == pytest.approx((1.0, 0.25))
     assert dist(space, out, w) == pytest.approx(3.0)
 
@@ -85,31 +84,24 @@ def test_move_linf_scales_all_coordinates():
 def test_move_hamming_flips_lowest_indices_first():
     space = binary(Metric.HAMMING, 5)
     v, w = Point.of_bits("00000"), Point.of_bits("10101")
-    assert move_hamming(space, v, w, 2).bits == (1, 0, 1, 0, 0)
+    assert move_hamming(space, v, w, dist(space, v, w), 2).bits == (1, 0, 1, 0, 0)
 
 
 def test_move_hamming_arrives_when_within_reach():
     space = binary(Metric.HAMMING, 5)
     v, w = Point.of_bits("00000"), Point.of_bits("11000")
-    assert move_hamming(space, v, w, 2) is w
-    assert move_hamming(space, v, w, 5) is w
+    assert move_hamming(space, v, w, dist(space, v, w), 2) is w
+    assert move_hamming(space, v, w, dist(space, v, w), 5) is w
 
 
 def test_move_hamming_committee_swaps_pairs():
     space = binary(Metric.HAMMING, 5, k=2)
     v, w = Point.of_bits("11000"), Point.of_bits("00011")
-    out = move_hamming(space, v, w, 2)
+    out = move_hamming(space, v, w, dist(space, v, w), 2)
     assert sum(out.bits) == 2
     assert dist(space, out, w) == 2
     # lowest-index drop and add
     assert out.bits == (0, 1, 0, 1, 0)
-
-
-def test_move_hamming_committee_rejects_odd_step():
-    space = binary(Metric.HAMMING, 5, k=2)
-    v, w = Point.of_bits("11000"), Point.of_bits("00011")
-    with pytest.raises(InfeasibleStepError):
-        move_hamming(space, v, w, 1)
 
 
 def test_move_hamming_seeded_is_deterministic():
@@ -117,8 +109,8 @@ def test_move_hamming_seeded_is_deterministic():
 
     space = binary(Metric.HAMMING, 8)
     v, w = Point.of_bits("00000000"), Point.of_bits("11111111")
-    a = move_hamming(space, v, w, 3, random.Random(7))
-    b = move_hamming(space, v, w, 3, random.Random(7))
+    a = move_hamming(space, v, w, dist(space, v, w), 3, random.Random(7))
+    b = move_hamming(space, v, w, dist(space, v, w), 3, random.Random(7))
     assert a == b
     assert dist(space, a, w) == 5
 
@@ -126,7 +118,7 @@ def test_move_hamming_seeded_is_deterministic():
 def test_move_swap_leftmost_discordant_pair():
     space = ranking_space(Metric.SWAP, 3)
     v, w = Point.of_ranking((2, 1, 0)), Point.of_ranking((0, 1, 2))
-    out = move_swap(space, v, w, 1)
+    out = move_swap(space, v, w, dist(space, v, w), 1)
     assert out.ranking == (1, 2, 0)
     assert dist(space, out, w) == 2
 
@@ -134,17 +126,17 @@ def test_move_swap_leftmost_discordant_pair():
 def test_move_swap_multiple_steps_and_arrival():
     space = ranking_space(Metric.SWAP, 4)
     v, w = Point.of_ranking((3, 2, 1, 0)), Point.of_ranking((0, 1, 2, 3))
-    out = move_swap(space, v, w, 2)
+    out = move_swap(space, v, w, dist(space, v, w), 2)
     assert dist(space, out, w) == 4
-    assert move_swap(space, v, w, 6) is w
-    assert move_swap(space, v, w, 9) is w
+    assert move_swap(space, v, w, dist(space, v, w), 6) is w
+    assert move_swap(space, v, w, dist(space, v, w), 9) is w
 
 
 def test_move_first_changed_binary_copies_window():
     space = binary(Metric.FIRST_CHANGED, 5)
     v, w = Point.of_bits("10110"), Point.of_bits("11100")
     # disagreement depth 4: window [2, 4) is copied, entry 1 left alone
-    out = move_first_changed(space, v, w, 2)
+    out = move_first_changed(space, v, w, dist(space, v, w), 2)
     assert out.bits == (1, 0, 1, 0, 0)
     assert dist(space, out, w) == 2
 
@@ -152,7 +144,7 @@ def test_move_first_changed_binary_copies_window():
 def test_move_first_changed_arrives():
     space = binary(Metric.FIRST_CHANGED, 4)
     v, w = Point.of_bits("0110"), Point.of_bits("1110")
-    assert move_first_changed(space, v, w, 1) is w
+    assert move_first_changed(space, v, w, dist(space, v, w), 1) is w
 
 
 def test_move_first_changed_committee_repairs_prefix():
@@ -160,7 +152,7 @@ def test_move_first_changed_committee_repairs_prefix():
     v, w = Point.of_bits("01010"), Point.of_bits("10001")
     # depth 5, step 2 copies w's last two entries; weight rises to 3 so a
     # prefix approval is dropped
-    out = move_first_changed(space, v, w, 2)
+    out = move_first_changed(space, v, w, dist(space, v, w), 2)
     assert sum(out.bits) == 2
     assert dist(space, out, w) <= 3
     assert out.bits[3:] == (0, 1)
@@ -170,7 +162,7 @@ def test_move_first_changed_ranking_keeps_relative_prefix():
     space = ranking_space(Metric.FIRST_CHANGED, 4)
     v, w = Point.of_ranking((3, 1, 0, 2)), Point.of_ranking((0, 1, 2, 3))
     # depth 4, step 2 adopts w's suffix (2, 3); the rest keep v's order
-    out = move_first_changed(space, v, w, 2)
+    out = move_first_changed(space, v, w, dist(space, v, w), 2)
     assert out.ranking == (1, 0, 2, 3)
     assert dist(space, out, w) <= 2
 
@@ -195,7 +187,7 @@ def test_euclidean_moves_obey_strict_laws(dim, metric, eps, data):
     w = Point.reals(data.draw(coords))
     space = euclidean(metric, dim)
     for mode in (L1Mode.COORD_ORDER, L1Mode.PROPORTIONAL):
-        _strict_ok(space, v, move_real(space, v, w, eps, mode), w, eps)
+        _strict_ok(space, v, move_real(space, v, w, dist(space, v, w), eps, mode), w, eps)
 
 
 @given(st.integers(1, 10), st.integers(1, 4), st.data())
@@ -203,7 +195,7 @@ def test_hamming_moves_obey_strict_laws(m, eps, data):
     bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     v, w = Point.of_bits(data.draw(bits)), Point.of_bits(data.draw(bits))
     space = binary(Metric.HAMMING, m)
-    _strict_ok(space, v, move_hamming(space, v, w, eps), w, eps)
+    _strict_ok(space, v, move_hamming(space, v, w, dist(space, v, w), eps), w, eps)
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
@@ -212,7 +204,7 @@ def test_swap_moves_obey_strict_laws(m, eps, data):
     v = Point.of_ranking(data.draw(perm))
     w = Point.of_ranking(data.draw(perm))
     space = ranking_space(Metric.SWAP, m)
-    _strict_ok(space, v, move_swap(space, v, w, eps), w, eps)
+    _strict_ok(space, v, move_swap(space, v, w, dist(space, v, w), eps), w, eps)
 
 
 @given(st.integers(1, 8), st.integers(1, 4), st.data())
@@ -220,7 +212,7 @@ def test_first_changed_moves_obey_approach_law(m, eps, data):
     bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     v, w = Point.of_bits(data.draw(bits)), Point.of_bits(data.draw(bits))
     space = binary(Metric.FIRST_CHANGED, m)
-    out = move_first_changed(space, v, w, eps)
+    out = move_first_changed(space, v, w, dist(space, v, w), eps)
     msg = check_constraints(space, v, out, w, eps, ConstraintMode.APPROACH_ONLY)
     assert msg is None, msg
 
@@ -231,7 +223,7 @@ def test_first_changed_ranking_moves_obey_approach_law(m, eps, data):
     v = Point.of_ranking(data.draw(perm))
     w = Point.of_ranking(data.draw(perm))
     space = ranking_space(Metric.FIRST_CHANGED, m)
-    out = move_first_changed(space, v, w, eps)
+    out = move_first_changed(space, v, w, dist(space, v, w), eps)
     assert sorted(out.ranking) == list(range(m))
     msg = check_constraints(space, v, out, w, eps, ConstraintMode.APPROACH_ONLY)
     assert msg is None, msg
@@ -309,19 +301,19 @@ def test_policy_default_dispatches_by_metric():
     space = euclidean(Metric.L2, 2)
     policy = MovePolicy(space, PolicySpec())
     v, w = Point.reals((0.0, 0.0)), Point.reals((3.0, 4.0))
-    assert policy.move(v, w, 1.0, 0, 0).real_vector == pytest.approx((0.6, 0.8))
+    assert policy.move(v, w, dist(space, v, w), 1.0, 0, 0).real_vector == pytest.approx((0.6, 0.8))
 
 
 def test_policy_seeded_reproducible_and_order_independent():
     space = binary(Metric.HAMMING, 8)
     spec = PolicySpec(kind=PolicyKind.SEEDED_RANDOM, seed=11)
     v, w = Point.of_bits("00000000"), Point.of_bits("11111111")
-    a = MovePolicy(space, spec).move(v, w, 3, iteration=2, agent=5)
-    b = MovePolicy(space, spec).move(v, w, 3, iteration=2, agent=5)
+    a = MovePolicy(space, spec).move(v, w, dist(space, v, w), 3, iteration=2, agent=5)
+    b = MovePolicy(space, spec).move(v, w, dist(space, v, w), 3, iteration=2, agent=5)
     assert a == b
     # a different agent index draws a different stream (with overwhelming odds)
-    c = MovePolicy(space, spec).move(v, w, 3, iteration=2, agent=6)
-    d = MovePolicy(space, spec).move(v, w, 3, iteration=3, agent=5)
+    c = MovePolicy(space, spec).move(v, w, dist(space, v, w), 3, iteration=2, agent=6)
+    d = MovePolicy(space, spec).move(v, w, dist(space, v, w), 3, iteration=3, agent=5)
     assert len({a.bits, c.bits, d.bits}) > 1
 
 
@@ -333,7 +325,7 @@ def test_policy_scripted_returns_next_profile_entry():
     )
     spec = PolicySpec(kind=PolicyKind.SCRIPTED, script=script)
     policy = MovePolicy(space, spec)
-    out = policy.move(Point.reals((0.0,)), Point.reals((5.0,)), 1.0, 0, 0)
+    out = policy.move(Point.reals((0.0,)), Point.reals((5.0,)), 5.0, 1.0, 0, 0)
     assert out.real_vector == (1.0,)
 
 
@@ -346,7 +338,7 @@ def test_policy_scripted_rejects_illegal_move():
     )
     spec = PolicySpec(kind=PolicyKind.SCRIPTED, script=script)
     w = Point.reals((5.0,))
-    assert MovePolicy(space, spec).move(script[0][0], w, 1.0, 0, 0) == script[1][0]
+    assert MovePolicy(space, spec).move(script[0][0], w, 5.0, 1.0, 0, 0) == script[1][0]
     config = EngineConfig(space, RuleSpec(VotingRule.MEAN), spec)
     with pytest.raises(ConstraintViolationError) as info:
         step(Profile(space, script[0]), config, winner=lambda rule, profile: w)
@@ -361,4 +353,4 @@ def test_policy_scripted_exhausted_script():
     spec = PolicySpec(kind=PolicyKind.SCRIPTED, script=script)
     policy = MovePolicy(space, spec)
     with pytest.raises(ConfigurationError):
-        policy.move(Point.reals((0.0,)), Point.reals((5.0,)), 1.0, 0, 0)
+        policy.move(Point.reals((0.0,)), Point.reals((5.0,)), 5.0, 1.0, 0, 0)
