@@ -426,6 +426,18 @@ def move(
     return np.where((d <= epsilon)[:, None], w, stepped)
 
 
+def outside(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
+    """Per row, whether an entry lies outside ``space``: ``validate_point``'s
+    verdict on a row of the space's width, and on a row of several points
+    whether any of them fails it."""
+    if space.family is Family.BINARY:
+        return (rows > 1).any(axis=1)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if space.integer_lattice:
+        bad |= (rows != np.floor(rows)).any(axis=1)
+    return bad
+
+
 def failing(
     space: SpaceSpec,
     mode: ConstraintMode,
@@ -440,12 +452,7 @@ def failing(
     The same comparisons as ``check_constraints`` and ``validate_point``,
     on the same distances, ``d_before`` reused from before the move.
     """
-    if space.family is Family.BINARY:
-        bad = (after > 1).any(axis=1)
-    else:
-        bad = ~np.isfinite(after).all(axis=1)
-        if space.integer_lattice:
-            bad |= (after != np.floor(after)).any(axis=1)
+    bad = outside(space, after)
     d_after = distances(space, after, w)
     target = np.maximum(0.0, d_before - epsilon)
     if mode is ConstraintMode.APPROACH_ONLY:

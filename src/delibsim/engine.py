@@ -13,7 +13,8 @@ iteration).  A run ends in one of three ways:
   one discrete rule, bitwise majority, cannot cycle: default Hamming moves
   flip bits only toward the winner, so no column's majority ever changes;
 * CAP_REACHED - the iteration budget ran out; a growth flag reports whether
-  the winner was still drifting monotonically away from where it started.
+  the winner was still drifting monotonically away from where it started,
+  over the last ``GROWTH_WINDOW`` iterations or all of a shorter budget.
 
 The full per-iteration trace is kept: profile, winner, every agent's
 distance to it, and which agents moved.  Every proposed move is refereed
@@ -81,7 +82,8 @@ DEFAULT_MAX_ITERS = 10_000
 #: budget multiplier applied to the farthest agent's step count; also the
 #: constant of ``analysis.iteration_bound``'s CAP predictions
 CAP_MULTIPLIER = 10
-DEFAULT_GROWTH_WINDOW = 50
+#: the final iterations of a capped run that the growth flag judges
+GROWTH_WINDOW = 50
 
 #: picks a profile's winner under a rule; ``rules.winner`` unless a run is given another
 WinnerFn = Callable[[RuleSpec, Profile], Point]
@@ -104,7 +106,6 @@ class EngineConfig:
     policy: PolicySpec = field(default_factory=PolicySpec)
     epsilon: float = 1.0
     max_iters: Optional[int] = None
-    growth_window: int = DEFAULT_GROWTH_WINDOW
 
     def __post_init__(self) -> None:
         space, rule, policy = self.space, self.rule, self.policy
@@ -143,8 +144,6 @@ class EngineConfig:
                 )
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigurationError("the iteration budget must be at least 1")
-        if self.growth_window < 1:
-            raise ConfigurationError("the growth window must be at least 1")
         if policy.kind is PolicyKind.SCRIPTED:
             _check_script(space, policy.script)
 
@@ -161,13 +160,11 @@ def _check_script(space: SpaceSpec, script) -> None:
         return
     agents, dimension = script.shape[1:]
     if space.family is not Family.EUCLIDEAN or agents == 0 or dimension != space.dimension:
-        Profile(space, script[0])  # raises: no entry fits the space
-    ok = np.isfinite(script)
-    if space.integer_lattice:
-        ok &= script == np.floor(script)
-    bad = np.flatnonzero(~ok.all(axis=(1, 2)))
+        Profile(space, arrays.points(script[0]))  # raises: no entry fits the space
+    # one row per state, so the first row outside is the first state outside
+    bad = np.flatnonzero(arrays.outside(space, script.reshape(len(script), -1)))
     if len(bad):
-        Profile(space, script[bad[0]])
+        Profile(space, arrays.points(script[bad[0]]))
 
 
 class IterationRecord:
@@ -423,14 +420,13 @@ def _default_max_iters(space: SpaceSpec, distances: tuple[float, ...], epsilon: 
     return max(1, CAP_MULTIPLIER * math.ceil(far / epsilon))
 
 
-def _growth_detected(trace: list[IterationRecord], config: EngineConfig) -> bool:
+def _growth_detected(trace: list[IterationRecord], space: SpaceSpec) -> bool:
     """True when the winner kept drifting away from the initial winner over
-    the whole final window."""
-    window = config.growth_window
-    if len(trace) < window + 1:
-        return False
+    the last ``GROWTH_WINDOW`` iterations of a capped run, or over all of a
+    shorter one."""
+    window = min(GROWTH_WINDOW, len(trace) - 1)  # the budget, when shorter
     w0 = trace[0].winner
-    drift = [dist(config.space, r.winner, w0) for r in trace[-(window + 1):]]
+    drift = [dist(space, r.winner, w0) for r in trace[-(window + 1):]]
     return all(a < b for a, b in zip(drift, drift[1:]))
 
 
@@ -590,7 +586,7 @@ def run(initial: Profile, config: EngineConfig, winner: Optional[WinnerFn] = Non
     else:
         trace, outcome, point, cycle = _iterate(initial, config, winner)
     cycle_first, cycle_period = cycle or (None, None)
-    growth = _growth_detected(trace, config) if outcome is Outcome.CAP_REACHED else None
+    growth = _growth_detected(trace, config.space) if outcome is Outcome.CAP_REACHED else None
     return RunReport(
         outcome=outcome,
         point=point,

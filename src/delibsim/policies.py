@@ -258,8 +258,9 @@ def move_first_changed(space: SpaceSpec, v: Point, w: Point, d: int, epsilon: fl
     if space.family is Family.BINARY:
         bits = list(v.bits[:start]) + list(w.bits[start:])
         if space.committee_size is not None:
-            k = space.committee_size
-            excess = sum(bits) - k
+            # ones(v[:start]) - ones(w[:start]): the prefix always holds that
+            # many ones to clear, or zeros to set, so the size is restored
+            excess = sum(bits) - space.committee_size
             for i in range(start):
                 if excess == 0:
                     break
@@ -269,10 +270,6 @@ def move_first_changed(space: SpaceSpec, v: Point, w: Point, d: int, epsilon: fl
                 elif excess < 0 and bits[i] == 0:
                     bits[i] = 1
                     excess += 1
-            if excess != 0:
-                raise InfeasibleStepError(
-                    f"cannot restore committee size {k} by adjusting the first {start} entries"
-                )
         return Point.of_bits(bits)
     suffix = w.ranking[start:]
     taken = set(suffix)

@@ -13,12 +13,11 @@ movers starting at maximal distance.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import random
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -278,6 +277,7 @@ def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
                      {"kind", "seed", "script", "l1_mode", "constraint_mode"})
     kind = _member(PolicyKind, policy.get("kind", PolicyKind.DEFAULT), "policy kind")
     script = _typed(policy.get("script"), str, "policy field 'script'")
+    script = None if script is None else load_script(script, space)
     # Deepest-disagreement moves are only auditable one-sidedly, so that
     # metric gets approach-only checking unless the config says otherwise.
     default_mode = (ConstraintMode.APPROACH_ONLY if space.distance is Metric.FIRST_CHANGED
@@ -286,7 +286,7 @@ def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
         kind=kind,
         seed=_typed(policy.get("seed", seed if kind is PolicyKind.SEEDED_RANDOM else None),
                     int, "policy seed"),
-        script=None if script is None else load_script(script, space),
+        script=script,
         l1_mode=_member(L1Mode, policy.get("l1_mode", L1Mode.COORD_ORDER), "l1_mode"),
         constraint_mode=_member(
             ConstraintMode, policy.get("constraint_mode", default_mode), "constraint_mode"
@@ -297,7 +297,7 @@ def setup_from_json(obj) -> tuple[Profile, EngineConfig, int]:
             if key in cfg:
                 raise ParseError(f"{key!r} is unused: a profile or script supplies the agents")
     if policy.kind is PolicyKind.SCRIPTED:
-        initial = Profile(space, policy.script[0])
+        initial = Profile(space, script[0])
         if profile is not None and profile.points != initial.points:
             raise ParseError("the given profile differs from the script's first entry")
     elif profile is not None:
@@ -386,12 +386,12 @@ def write_trace_jsonl(report: RunReport, space: SpaceSpec, out: Union[str, IO[st
     bit pattern differs from the same entry of the record before are
     formatted again.
     """
-
-    def texts(records: list) -> Iterator[tuple]:
-        run = records[0].run_arrays
-        if run is not None:
-            return arrays.trace_texts(space.family, run, [r.index for r in records])
-        return (
+    records = report.trace
+    run = records[0].run_arrays  # a run's records are all array records or none are
+    if run is not None:
+        texts = arrays.trace_texts(space.family, run, [r.index for r in records])
+    else:
+        texts = (
             (json.dumps([point_to_json(space, p) for p in r.points]),
              json.dumps(point_to_json(space, r.winner)),
              json.dumps(list(r.distances)),
@@ -400,24 +400,17 @@ def write_trace_jsonl(report: RunReport, space: SpaceSpec, out: Union[str, IO[st
         )
 
     def emit(fh: IO[str]) -> None:
-        # consecutive records of one array run are written together
-        for _, group in itertools.groupby(report.trace, key=lambda r: id(r.run_arrays)):
-            records = list(group)
-            for r, (points, winner, distances, moved) in zip(records, texts(records)):
-                fh.write(
-                    f'{{"index": {r.index}, "points": {points}, "winner": {winner}, '
-                    f'"distances": {distances}, "moved": {moved}}}\n'
-                )
+        for r, (points, winner, distances, moved) in zip(records, texts):
+            fh.write(
+                f'{{"index": {r.index}, "points": {points}, "winner": {winner}, '
+                f'"distances": {distances}, "moved": {moved}}}\n'
+            )
 
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8") as fh:
             emit(fh)
     else:
         emit(out)
-
-
-def final_winner(report: RunReport) -> Point:
-    return report.point if report.point is not None else report.trace[-1].winner
 
 
 def summary_row(
@@ -432,7 +425,7 @@ def summary_row(
         "outcome": report.outcome.value,
         "moving_iterations": report.moving_iterations,
         "states": report.states,
-        "final_winner": json.dumps(point_to_json(config.space, final_winner(report))),
+        "final_winner": json.dumps(point_to_json(config.space, report.trace[-1].winner)),
     }
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arrays
 from .analysis import potential_scoring, potential_stv
-from .engine import DEFAULT_GROWTH_WINDOW, EngineConfig, Outcome, RunReport, run
+from .engine import EngineConfig, Outcome, RunReport, run
 from .errors import ConfigurationError, UnsupportedSizeError
 from .policies import ConstraintMode, PolicyKind, PolicySpec
 from .rules import Profile, RuleSpec, VotingRule, scoring_ranking, stv_rounds
@@ -105,18 +106,8 @@ def _escape_run(
     policy = PolicySpec(
         kind=PolicyKind.SCRIPTED, script=script, constraint_mode=ConstraintMode.STRICT
     )
-    # growth detection needs window + 1 trace records, so short replays
-    # shrink the window rather than silently reporting no growth
-    window = max(1, min(DEFAULT_GROWTH_WINDOW, iterations // 2))
-    config = EngineConfig(
-        space,
-        RuleSpec(rule),
-        policy,
-        epsilon=1.0,
-        max_iters=iterations,
-        growth_window=window,
-    )
-    return run(Profile(space, script[0]), config), config
+    config = EngineConfig(space, RuleSpec(rule), policy, epsilon=1.0, max_iters=iterations)
+    return run(Profile(space, arrays.points(script[0])), config), config
 
 
 def run_example3(

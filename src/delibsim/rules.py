@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError, InvalidPointError, UnsupportedSizeError
 from .spaces import Family, Point, SpaceSpec, total, validate_point
 
@@ -78,23 +76,13 @@ NEEDS_TIEBREAK = frozenset(
 
 @dataclass(frozen=True)
 class Profile:
-    """An ordered collection of agent positions in one space.
-
-    ``points`` may also be given as an ``(n, d)`` array of real vectors,
-    one row per agent.  A real-vector script is an array, so this keeps
-    ``Profile(space, script[0])`` working for the scripts that
-    ``replays.example3_script`` and ``example4_script`` return, as it did
-    when they were tuples of point profiles.
-    """
+    """An ordered collection of agent positions in one space."""
 
     spec: SpaceSpec
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        points = self.points
-        if isinstance(points, np.ndarray):
-            points = map(Point.reals, points.tolist())
-        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) == 0:
             raise ConfigurationError("a profile needs at least one agent")
         for i, p in enumerate(self.points):

@@ -28,7 +28,7 @@ from delibsim import (
     step,
     winner,
 )
-from delibsim.engine import CAP_MULTIPLIER, DEFAULT_MAX_ITERS
+from delibsim.engine import CAP_MULTIPLIER, DEFAULT_MAX_ITERS, GROWTH_WINDOW
 from delibsim.spaces import EUCLIDEAN_EQ_TOL
 
 
@@ -209,11 +209,10 @@ def reference_run(initial, config):
             outcome, point = Outcome.CONVERGED, trace[-1].winner
     growth = None
     if outcome is Outcome.CAP_REACHED:
-        window = trace[-(config.growth_window + 1):]
+        # the last GROWTH_WINDOW iterations, or the whole budget when it is shorter
+        window = trace[-(min(GROWTH_WINDOW, max_iters) + 1):]
         drift = [dist(space, r.winner, trace[0].winner) for r in window]
-        growth = len(trace) > config.growth_window and all(
-            a < b for a, b in zip(drift, drift[1:])
-        )
+        growth = all(a < b for a, b in zip(drift, drift[1:]))
     return RunReport(
         outcome=outcome,
         point=point,

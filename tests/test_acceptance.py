@@ -36,6 +36,7 @@ from delibsim import (
     winner,
     winner_stability,
 )
+from delibsim import arrays
 from delibsim.policies import MovePolicy
 from delibsim.replays import example3_script, example4_script
 from delibsim.rules import kemeny_ranking
@@ -79,7 +80,7 @@ def test_c2_mean_under_sup_metric_never_converges():
     """The drifting trio keeps every movement law yet walks away forever."""
     space = euclidean(Metric.LINF, 3)
     script = example3_script(ESCAPE_ITERATIONS)
-    profile = Profile(space, script[0])
+    profile = Profile(space, arrays.points(script[0]))
     config = EngineConfig(
         space,
         RuleSpec(VotingRule.MEAN),
@@ -107,7 +108,7 @@ def test_c3_median_under_sup_metric_never_converges():
     """Four agents drag the coordinatewise median one diagonal step per round."""
     space = euclidean(Metric.LINF, 3)
     script = example4_script(ESCAPE_ITERATIONS)
-    profile = Profile(space, script[0])
+    profile = Profile(space, arrays.points(script[0]))
     config = EngineConfig(
         space,
         RuleSpec(VotingRule.MEDIAN),

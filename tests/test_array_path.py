@@ -99,7 +99,6 @@ def _random_case(seed: int):
         policy,
         epsilon=epsilon,
         max_iters=max_iters,
-        growth_window=rng.randint(1, 8),
     )
     profile = generate(GeneratorSpec(space, n=n, seed=seed, euclidean_box=box))
     return profile, config, exact
@@ -463,9 +462,8 @@ def _scripted_case(draw):
     max_iters = draw(st.one_of(st.none(), st.integers(1, len(script) + 2)))
     policy = PolicySpec(PolicyKind.SCRIPTED, script=script, l1_mode=l1_mode,
                         constraint_mode=draw(st.sampled_from(_MODES)))
-    config = EngineConfig(space, RuleSpec(rule), policy, epsilon=epsilon, max_iters=max_iters,
-                          growth_window=draw(st.integers(1, 8)))
-    return Profile(space, script[0]), config
+    config = EngineConfig(space, RuleSpec(rule), policy, epsilon=epsilon, max_iters=max_iters)
+    return Profile(space, arrays.points(script[0])), config
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -512,7 +510,7 @@ def test_iteration_0_is_judged_before_an_infinite_spread_sizes_the_budget(mode, 
     states = np.array([[[-1.5e308], [1.5e308]], [[-1.5e308], [0.0]]])
     config = EngineConfig(space, RuleSpec(VotingRule.MEDIAN), PolicySpec(
         PolicyKind.SCRIPTED, script=states[entries], constraint_mode=mode))
-    profile = Profile(space, states[0])
+    profile = Profile(space, arrays.points(states[0]))
     got, got_error = _script_outcome(profile, config, run)
     step_path = lambda p, c: run(p, c, winner=rules.winner)
     want, want_error = _script_outcome(profile, config, step_path)

@@ -24,6 +24,7 @@ from delibsim import (
     save_profile,
     save_script,
 )
+from delibsim import arrays, replays
 from delibsim.cli import (
     EXIT_CAP,
     EXIT_ERROR,
@@ -121,6 +122,20 @@ def test_run_trace_output(tmp_path):
     assert lines[0]["index"] == 0
     assert all(len(rec["points"]) == 4 for rec in lines)
     assert lines[-1]["moved"] == [False, False, False, False]
+
+
+def test_run_out_without_quiet_names_the_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    out_path = tmp_path / "trace.jsonl"
+    assert run_cli("run", "examples/run.json", "--out", str(out_path)) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "outcome=converged moving_iterations=7 states=8 "
+        "winner=[3.238327648331624, 3.656889169125855]",
+        f"wrote jsonl to {out_path}",
+    ]
+    assert len(out_path.read_text().splitlines()) == 8
 
 
 def test_run_csv_summary_output(tmp_path):
@@ -324,7 +339,7 @@ def _generated(space, n, seed, box=None):
              "max_iters": 10},
             [],
             lambda: (
-                Profile(euclidean(Metric.LINF, 3), _SCRIPT[0]),
+                Profile(euclidean(Metric.LINF, 3), arrays.points(_SCRIPT[0])),
                 EngineConfig(euclidean(Metric.LINF, 3), RuleSpec(VotingRule.MEAN),
                              PolicySpec(PolicyKind.SCRIPTED, script=_SCRIPT), max_iters=10),
             ),
@@ -464,6 +479,18 @@ def test_reproduce_known_names(capsys):
     out = capsys.readouterr().out
     assert "(5, 5, 5)" in out
     assert run_cli("reproduce", "stv-vector", "--quiet") == EXIT_OK
+
+
+def test_reproduce_failure_goes_to_stderr_with_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(replays, "EXAMPLE1_WINNER", 6)
+    assert run_cli("reproduce", "example1") == EXIT_ERROR
+    out, err = capsys.readouterr()
+    # the scenario's lines still print, without the closing "ok" line
+    assert out.splitlines()[-1] == "outcome: converged after 3 moves"
+    assert "example1: ok" not in out
+    assert err == "".join(
+        f"example1: iteration {j}: expected winner 6, got 5.0\n" for j in range(4)
+    )
 
 
 def test_reproduce_short_escape_budget(capsys):

@@ -26,7 +26,7 @@ from delibsim import (
     run,
     step,
 )
-from delibsim import engine, rules, spaces
+from delibsim import arrays, engine, rules, spaces
 
 from helpers import binary, euclidean, ranking_space
 
@@ -127,8 +127,6 @@ def test_config_budget_and_window_guards():
     space = euclidean(Metric.L2, 1)
     with pytest.raises(ConfigurationError):
         EngineConfig(space, RuleSpec(VotingRule.MEAN), max_iters=0)
-    with pytest.raises(ConfigurationError):
-        EngineConfig(space, RuleSpec(VotingRule.MEAN), growth_window=0)
 
 
 # --- stepping ----------------------------------------------------------------
@@ -217,7 +215,7 @@ def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
     _, config = run_example3(30)
     calls = _count_per_agent_calls(monkeypatch)
     # a run given a winner function takes step, one agent at a time
-    initial = Profile(config.space, config.policy.script[0])
+    initial = Profile(config.space, arrays.points(config.policy.script[0]))
     report = run(initial, config, winner=lambda rule, profile: rules.winner(rule, profile))
     n = len(report.trace[0].points)
     moves = n * (report.states - 1)
@@ -225,7 +223,7 @@ def test_each_move_is_judged_once_against_its_recorded_distance(monkeypatch):
     assert calls["check"] == moves
     # d(before, w) once per move in step; d(after, w) and d(before, after) in the referee;
     # the terminal state's distances and the growth window's drift
-    assert calls["dist"] <= 3 * moves + n + config.growth_window + 1
+    assert calls["dist"] <= 3 * moves + n + min(engine.GROWTH_WINDOW, config.max_iters) + 1
     assert calls["winner"] == report.states
 
 
@@ -326,17 +324,51 @@ def test_run_growth_detected_on_receding_winner():
     space = euclidean(Metric.LINF, 3)
     iters = 30
     script = example3_script(iters)
-    profile = Profile(space, script[0])
+    profile = Profile(space, arrays.points(script[0]))
     config = EngineConfig(
         space,
         RuleSpec(VotingRule.MEAN),
         policy=PolicySpec(kind=PolicyKind.SCRIPTED, script=script),
         max_iters=iters,
-        growth_window=10,
     )
     report = run(profile, config)
     assert report.outcome is Outcome.CAP_REACHED
     assert report.growth_detected is True
+
+
+def test_a_budget_below_the_growth_window_is_judged_whole():
+    # 20 iterations cannot fill a 50-iteration window, so the whole run is judged
+    from delibsim.replays import example3_script
+
+    space = euclidean(Metric.LINF, 3)
+    script = example3_script(20)
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN),
+                          PolicySpec(PolicyKind.SCRIPTED, script=script), max_iters=20)
+    report = run(Profile(space, arrays.points(script[0])), config)
+    assert report.outcome is Outcome.CAP_REACHED
+    assert report.states == 21
+    assert report.growth_detected is True
+
+
+@pytest.mark.parametrize(
+    "budget, still, growth",
+    [(20, 1, True), (20, 2, False), (60, 11, True), (60, 12, False)],
+)
+def test_growth_is_judged_over_the_last_window_or_the_whole_budget(budget, still, growth):
+    # the winner holds at 100 for the first ``still`` records, then recedes by
+    # 1 per record: a budget of 60 is judged on its last 50 iterations (records
+    # 10 to 60), a budget of 20 on all of them
+    space = euclidean(Metric.L1, 1)
+    calls = iter(range(budget + 1))  # step and the terminal record pick one winner each
+
+    def receding(rule, profile):
+        return Point.reals((100.0 + max(0, next(calls) - still + 1),))
+
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN), max_iters=budget)
+    report = run(line_profile(0, 10), config, winner=receding)
+    assert report.outcome is Outcome.CAP_REACHED
+    assert report.states == budget + 1
+    assert report.growth_detected is growth
 
 
 def test_run_default_budget_scales_with_initial_spread():
@@ -437,5 +469,6 @@ def test_each_distance_is_measured_once_per_pair(
     assert report.moving_iterations >= 2
     per_pair = 2 if policy.constraint_mode is ConstraintMode.APPROACH_ONLY else 3
     terminal = profile.n if report.trace[-1].moved is None else 0
-    growth = config.growth_window + 1 if report.outcome is Outcome.CAP_REACHED else 0
+    window = min(engine.GROWTH_WINDOW, len(report.trace) - 1)
+    growth = window + 1 if report.outcome is Outcome.CAP_REACHED else 0
     assert len(calls) <= per_pair * agent_iters + terminal + growth

@@ -1,5 +1,7 @@
 """Movement policies: step geometry, the two movement laws, and scripting."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from delibsim import (
     ConstraintMode,
     ConstraintViolationError,
     EngineConfig,
+    GeneratorSpec,
     L1Mode,
     Metric,
     MovePolicy,
+    Outcome,
     Point,
     PolicyKind,
     PolicySpec,
@@ -20,6 +24,8 @@ from delibsim import (
     VotingRule,
     check_constraints,
     dist,
+    generate,
+    run,
     step,
 )
 from delibsim.policies import (
@@ -149,13 +155,41 @@ def test_move_first_changed_arrives():
 
 def test_move_first_changed_committee_repairs_prefix():
     space = binary(Metric.FIRST_CHANGED, 5, k=2)
-    v, w = Point.of_bits("01010"), Point.of_bits("10001")
-    # depth 5, step 2 copies w's last two entries; weight rises to 3 so a
-    # prefix approval is dropped
+    # depth 5, step 2 copies w's last two entries; "101" + "01" holds three
+    # approvals, so the first prefix approval is dropped
+    v, w = Point.of_bits("10100"), Point.of_bits("01001")
     out = move_first_changed(space, v, w, dist(space, v, w), 2)
-    assert sum(out.bits) == 2
-    assert dist(space, out, w) <= 3
-    assert out.bits[3:] == (0, 1)
+    assert out.bits == (0, 0, 1, 0, 1)
+    assert dist(space, out, w) == 3
+    # "010" + "00" holds one, so the first prefix zero is set
+    v, w = Point.of_bits("01001"), Point.of_bits("10100")
+    out = move_first_changed(space, v, w, dist(space, v, w), 2)
+    assert out.bits == (1, 1, 0, 0, 0)
+    assert dist(space, out, w) == 3
+
+
+def test_committee_runs_under_first_changed_keep_k_approvals():
+    # seeded top-k runs under the deepest-disagreement metric: each converges,
+    # every ballot of every state holds k approvals, and some moves need the
+    # size repair (the copied suffix changes the approval count)
+    repaired = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        m = rng.randint(2, 9)
+        k, n, epsilon = rng.randint(1, m), rng.randint(1, 9), rng.randint(1, 3)
+        space = binary(Metric.FIRST_CHANGED, m, k=k)
+        config = EngineConfig(
+            space, RuleSpec(VotingRule.TOPK_MAJORITY, tuple(range(m))),
+            PolicySpec(constraint_mode=ConstraintMode.APPROACH_ONLY), epsilon=epsilon,
+        )
+        report = run(generate(GeneratorSpec(space, n=n, seed=seed)), config)
+        assert report.outcome is Outcome.CONVERGED
+        assert all(sum(p.bits) == k for r in report.trace for p in r.points)
+        for r, after in zip(report.trace, report.trace[1:]):
+            for v, v_next, d in zip(r.points, after.points, r.distances):
+                start = d - epsilon
+                repaired += start > 0 and v_next.bits != v.bits[:start] + r.winner.bits[start:]
+    assert repaired > 0
 
 
 def test_move_first_changed_ranking_keeps_relative_prefix():

@@ -40,7 +40,6 @@ from delibsim import rules as rules_mod
 from delibsim import spaces as spaces_mod
 from delibsim.engine import _ArrayRecord
 from delibsim.profiles import (
-    final_winner,
     profile_from_json,
     profile_to_json,
     space_from_json,
@@ -317,12 +316,17 @@ def test_summary_row_and_csv():
 
 
 def test_final_winner_prefers_consensus_point():
-    report, _ = _floor_mean_report()
-    assert final_winner(report).real_vector == (5.0,)
+    # the last record's winner: a converged run's consensus point, a capped run's last winner
+    report, config = _floor_mean_report()
+    assert report.point == report.trace[-1].winner
+    assert json.loads(summary_row(report, config)["final_winner"]) == [5.0]
     space = euclidean(Metric.L1, 1)
     profile = Profile(space, (Point.reals((0.0,)), Point.reals((100.0,))))
-    capped = run(profile, EngineConfig(space, RuleSpec(VotingRule.MEAN), max_iters=2))
-    assert final_winner(capped) == capped.trace[-1].winner
+    config = EngineConfig(space, RuleSpec(VotingRule.MEAN), max_iters=2)
+    capped = run(profile, config)
+    assert capped.point is None
+    winner = json.loads(summary_row(capped, config)["final_winner"])
+    assert winner == list(capped.trace[-1].winner.real_vector)
 
 
 # --- worst-case constructions ------------------------------------------------
